@@ -200,9 +200,6 @@ class SetAssociativeCache:
         self.way_hits = [0] * geometry.associativity
 
     # ------------------------------------------------------------------
-    def _group(self, set_index: int) -> int:
-        return self.geometry.address_group(set_index, self.config.num_bands)
-
     def eligible_ways(self, set_index: int) -> List[int]:
         """Ways usable for this set under the current configuration."""
         return list(self._eligible[set_index])

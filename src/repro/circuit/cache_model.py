@@ -23,18 +23,13 @@ from __future__ import annotations
 from typing import NamedTuple, Tuple
 
 from repro.circuit import devices, interconnect, sram
-from repro.circuit.devices import subthreshold_current
 from repro.circuit.organization import CacheOrganization, PAPER_ORGANIZATION
-from repro.circuit.paths import PathSizing, DEFAULT_PATH_SIZING, access_path_delay
+from repro.circuit.paths import PathSizing, DEFAULT_PATH_SIZING
 from repro.circuit.technology import Technology, TECH45
 from repro.core import units
 from repro.core.errors import ConfigurationError
 from repro.variation.parameters import TABLE1, VariationTable
-from repro.variation.sampling import (
-    CacheVariationMap,
-    WayVariation,
-    PERIPHERAL_SEGMENTS,
-)
+from repro.variation.sampling import CacheVariationMap, WayVariation
 
 __all__ = ["WayCircuitResult", "CacheCircuitResult", "CacheCircuitModel"]
 
@@ -491,38 +486,6 @@ class CacheCircuitModel:
         return WayCircuitResult(
             way=way.way,
             band_delays=tuple(base * scale for base in base_delays),
-            band_leakage=band_leakage,
-            peripheral_leakage=peripheral,
-        )
-
-    def _evaluate_way_reference(self, way: WayVariation) -> WayCircuitResult:
-        """Composed per-stage evaluation (differential-testing oracle).
-
-        Calls `access_path_delay` per band exactly as the model
-        originally did; :meth:`_evaluate_way` must match it bit for bit.
-        """
-        band_delays = tuple(
-            access_path_delay(way, band, self.tech, self.org, self.sizing)
-            * way.band_residual(band)
-            * self._delay_scale
-            for band in range(self.org.num_bands)
-        )
-        band_leakage = tuple(
-            self.org.bits_per_bank
-            * sram.cell_leakage(way.bands[band], self.tech)
-            * self.tech.vdd
-            for band in range(self.org.num_bands)
-        )
-        peripheral = sum(
-            subthreshold_current(
-                PERIPHERAL_LEAK_WIDTHS[name], way.peripheral(name), self.tech
-            )
-            * self.tech.vdd
-            for name in PERIPHERAL_SEGMENTS
-        )
-        return WayCircuitResult(
-            way=way.way,
-            band_delays=band_delays,
             band_leakage=band_leakage,
             peripheral_leakage=peripheral,
         )

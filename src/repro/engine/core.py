@@ -109,6 +109,20 @@ class EngineConfig:
         )
 
 
+class _InflightJob:
+    """One in-flight job: the future every caller shares, plus the
+    progress callbacks the leader's progress fans out to."""
+
+    __slots__ = ("future", "subscribers")
+
+    def __init__(self) -> None:
+        self.future: Future = Future()
+        # Running from the start: ``cancel()`` on a shared future must
+        # not succeed for one caller and cancel every other waiter.
+        self.future.set_running_or_notify_cancel()
+        self.subscribers: List[Callable[[int, int], None]] = []
+
+
 class Engine:
     """Parallel, cache-backed executor for populations and simulations."""
 
@@ -135,12 +149,12 @@ class Engine:
         self._memo: Dict[str, object] = {}
         self._provenance: Optional[Dict[str, object]] = None
         # Scheduler state: in-flight dedup table plus the thread pool the
-        # async submission API (`submit_*`) runs leaders on. A key appears
+        # async submission API (`submit*`) runs leaders on. A key appears
         # in `_inflight` from the moment a leader claims it until its
         # result (or error) is settled, so concurrent identical
         # submissions — the serve layer's whole request mix — collapse
         # onto one computation.
-        self._inflight: Dict[str, Future] = {}
+        self._inflight: Dict[str, _InflightJob] = {}
         self._inflight_lock = threading.Lock()
         self._submit_pool: Optional[ThreadPoolExecutor] = None
 
@@ -226,6 +240,20 @@ class Engine:
         """How many distinct jobs are currently being computed."""
         with self._inflight_lock:
             return len(self._inflight)
+
+    def join(
+        self,
+        kind: str,
+        key: str,
+        progress: Optional[Callable[[int, int], None]] = None,
+    ) -> Optional[Future]:
+        """The shared future of ``key``'s in-flight job, or ``None``.
+
+        Check and join are one atomic step, so the job cannot settle in
+        between; the join is counted and ``progress`` hears the leader.
+        """
+        job, _ = self._claim(kind, key, progress, lead=False)
+        return job.future if job is not None else None
 
     # ------------------------------------------------------------------
     # populations
@@ -651,32 +679,128 @@ class Engine:
             )
         return self._submit_pool
 
-    def _claim(self, kind: str, key: str) -> Tuple[Future, bool]:
-        """The in-flight future for ``key`` and whether we lead it.
+    def _claim(
+        self,
+        kind: str,
+        key: str,
+        progress: Optional[Callable[[int, int], None]],
+        lead: bool = True,
+    ) -> Tuple[Optional[_InflightJob], bool]:
+        """The in-flight entry for ``key`` and whether we lead it.
 
-        Joining an existing flight bumps ``engine.inflight.joined``; a
-        fresh claim bumps ``engine.inflight.leader``. The leader must
-        settle the future via :meth:`_finish`.
+        The one single-flight point of the system. Joining an existing
+        entry bumps ``engine.inflight.joined.<kind>``; a fresh claim bumps
+        ``engine.inflight.leader.<kind>`` (with ``lead=False`` there is no
+        fresh claim: ``(None, False)``). Either way ``progress`` (when
+        given) joins the entry's subscriber list. The leader must settle
+        the entry via :meth:`_finish`.
         """
         with self._inflight_lock:
-            future = self._inflight.get(key)
-            if future is not None:
-                self.metrics.counter(f"engine.inflight.joined.{kind}").inc()
-                return future, False
-            future = Future()
-            self._inflight[key] = future
-            self.metrics.counter(f"engine.inflight.leader.{kind}").inc()
-            self.metrics.gauge("engine.inflight").set(len(self._inflight))
-            return future, True
+            job = self._inflight.get(key)
+            leader = job is None
+            if leader:
+                if not lead:
+                    return None, False
+                job = self._inflight[key] = _InflightJob()
+                self.metrics.gauge("engine.inflight").set(len(self._inflight))
+            role = "leader" if leader else "joined"
+            self.metrics.counter(f"engine.inflight.{role}.{kind}").inc()
+            if progress is not None:
+                job.subscribers.append(progress)
+            return job, leader
 
-    def _finish(self, key: str, future: Future, result, error) -> None:
+    def _finish(
+        self, claimed: List[Tuple[str, _InflightJob]], results, error
+    ) -> None:
+        """Retire the leader's entries, then settle their futures."""
         with self._inflight_lock:
-            self._inflight.pop(key, None)
+            for key, _ in claimed:
+                self._inflight.pop(key, None)
             self.metrics.gauge("engine.inflight").set(len(self._inflight))
-        if error is not None:
-            future.set_exception(error)
-        else:
-            future.set_result(result)
+        for index, (_, job) in enumerate(claimed):
+            if error is not None:
+                job.future.set_exception(error)
+            else:
+                job.future.set_result(results[index])
+
+    def _submit(
+        self,
+        kind: str,
+        keys: List[str],
+        compute: Callable[[List[int], Callable[[int, int], None]], List[object]],
+        progress: Optional[Callable[[int, int], None]],
+        schedule: Optional[Callable[[Callable[[], None]], object]] = None,
+    ) -> List[Future]:
+        """One future per key: claim, run on the pool, finish.
+
+        Memoised keys resolve immediately; keys already in flight join
+        their leader; the rest are claimed here and computed by **one**
+        ``compute(indices, progress)`` call, started by ``schedule``
+        (default: the engine's thread pool), which returns one result
+        per claimed index. Its ``progress`` fans out to every subscriber
+        of the claimed entries, joiners included; a subscriber that
+        raises is skipped, not allowed to starve the rest.
+        """
+        futures: List[Future] = []
+        claimed: List[Tuple[str, _InflightJob]] = []
+        indices: List[int] = []
+        for index, key in enumerate(keys):
+            if key in self._memo:
+                self.metrics.counter(f"engine.inflight.cached.{kind}").inc()
+                future: Future = Future()
+                future.set_result(self._memo[key])
+                futures.append(future)
+                continue
+            job, leader = self._claim(kind, key, progress)
+            if leader:
+                claimed.append((key, job))
+                indices.append(index)
+            futures.append(job.future)
+        if claimed:
+            def fan_out(done: int, total: int) -> None:
+                for callback in dict.fromkeys(
+                    cb for _, job in claimed for cb in job.subscribers
+                ):
+                    try:
+                        callback(done, total)
+                    except Exception:  # e.g. a gone client's closed loop
+                        pass
+
+            def lead() -> None:
+                try:
+                    results = compute(indices, fan_out)
+                except Exception as exc:  # settled into every future
+                    self._finish(claimed, None, exc)
+                else:
+                    self._finish(claimed, results, None)
+
+            (schedule or self._pool().submit)(lead)
+        return futures
+
+    def submit(
+        self,
+        kind: str,
+        key: str,
+        compute: Callable[[Callable[[int, int], None]], object],
+        progress: Optional[Callable[[int, int], None]] = None,
+        schedule: Optional[Callable[[Callable[[], None]], object]] = None,
+    ) -> Future:
+        """Submit ``compute(progress)`` under job identity ``(kind, key)``.
+
+        Returns a ``concurrent.futures.Future``. Concurrent submissions of
+        the same key coalesce onto a single computation (single-flight):
+        the first caller leads and runs ``compute`` on the engine's thread
+        pool, later callers receive the same future and their
+        ``progress`` callbacks hear the leader's progress. The future is
+        marked running from the start, so no caller can cancel it out
+        from under the others. ``schedule(fn)`` starts the leader
+        instead of the engine's pool, for jobs too long to hold one of
+        its threads.
+        """
+        return self._submit(
+            kind, [key], lambda _, fan_out: [compute(fan_out)], progress,
+            schedule,
+        )[0]
 
     def submit_population(
         self,
@@ -684,32 +808,13 @@ class Engine:
         policy: ConstraintPolicy = NOMINAL_POLICY,
         progress: Optional[Callable[[int, int], None]] = None,
     ) -> Future:
-        """Submit one population job; returns a ``concurrent.futures.Future``.
-
-        Concurrent submissions of the same job identity coalesce onto a
-        single computation (single-flight): the first caller becomes the
-        leader and runs :meth:`population` on the engine's thread pool,
-        later callers receive the same future. A memoised result resolves
-        immediately without touching the pool.
-        """
-        key = self.population_key(settings, policy, self.config.estimator)
-        if key in self._memo:
-            self.metrics.counter("engine.inflight.cached.population").inc()
-            future: Future = Future()
-            future.set_result(self._memo[key])
-            return future
-        future, leader = self._claim("population", key)
-        if leader:
-            def lead() -> None:
-                try:
-                    result = self.population(settings, policy, progress=progress)
-                except Exception as exc:  # settled into the future
-                    self._finish(key, future, None, exc)
-                else:
-                    self._finish(key, future, result, None)
-
-            self._pool().submit(lead)
-        return future
+        """Submit one population job (single-flight, see :meth:`submit`)."""
+        return self.submit(
+            "population",
+            self.population_key(settings, policy, self.config.estimator),
+            lambda fan_out: self.population(settings, policy, progress=fan_out),
+            progress,
+        )
 
     def submit_estimate(
         self,
@@ -722,26 +827,14 @@ class Engine:
         spec = estimator if estimator is not None else self.config.estimator
         if spec is None:
             spec = EstimatorSpec()
-        key = self.estimate_key(settings, policy, spec)
-        if key in self._memo:
-            self.metrics.counter("engine.inflight.cached.estimate").inc()
-            future: Future = Future()
-            future.set_result(self._memo[key])
-            return future
-        future, leader = self._claim("estimate", key)
-        if leader:
-            def lead() -> None:
-                try:
-                    result = self.estimate(
-                        settings, policy, estimator=spec, progress=progress
-                    )
-                except Exception as exc:  # settled into the future
-                    self._finish(key, future, None, exc)
-                else:
-                    self._finish(key, future, result, None)
-
-            self._pool().submit(lead)
-        return future
+        return self.submit(
+            "estimate",
+            self.estimate_key(settings, policy, spec),
+            lambda fan_out: self.estimate(
+                settings, policy, estimator=spec, progress=fan_out
+            ),
+            progress,
+        )
 
     def submit_simulations(
         self,
@@ -751,47 +844,21 @@ class Engine:
     ) -> List[Future]:
         """Submit a batch of simulations; one future per spec, in order.
 
-        Specs already memoised resolve immediately; specs another caller
-        is already computing join that flight; the rest are claimed and
-        computed through **one** :meth:`simulate_many` call — a single
-        pool dispatch for the whole fresh set, which is what the serve
-        layer's batcher relies on.
+        Specs already memoised resolve immediately; specs already in
+        flight (another caller's, or an earlier duplicate in this batch)
+        join that entry; the rest are claimed and computed through
+        **one** :meth:`simulate_many` call — a single pool dispatch for
+        the whole fresh set, which is what the serve layer's batcher
+        relies on.
         """
-        futures: List[Future] = []
-        fresh: List[Tuple[str, Future, SimulationSpec]] = []
-        claimed: Dict[str, Future] = {}
-        for spec in specs:
-            key = self.simulation_key(settings, spec)
-            if key in claimed:
-                futures.append(claimed[key])
-                continue
-            if key in self._memo:
-                self.metrics.counter("engine.inflight.cached.simulation").inc()
-                future = Future()
-                future.set_result(self._memo[key])
-                futures.append(future)
-                continue
-            future, leader = self._claim("simulation", key)
-            if leader:
-                fresh.append((key, future, spec))
-                claimed[key] = future
-            futures.append(future)
-        if fresh:
-            def lead() -> None:
-                try:
-                    results = self.simulate_many(
-                        settings, [spec for _, _, spec in fresh],
-                        progress=progress,
-                    )
-                except Exception as exc:
-                    for key, future, _ in fresh:
-                        self._finish(key, future, None, exc)
-                else:
-                    for (key, future, _), result in zip(fresh, results):
-                        self._finish(key, future, result, None)
-
-            self._pool().submit(lead)
-        return futures
+        return self._submit(
+            "simulation",
+            [self.simulation_key(settings, spec) for spec in specs],
+            lambda indices, fan_out: self.simulate_many(
+                settings, [specs[i] for i in indices], progress=fan_out
+            ),
+            progress,
+        )
 
     def shutdown(self) -> None:
         """Stop the submission thread pool (in-flight leaders finish)."""

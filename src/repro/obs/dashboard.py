@@ -71,6 +71,11 @@ _DASH_SCRIPT = """
       '" fill="none" stroke="#4477aa" stroke-width="1.5"/>';
   }
   function counter(counters, name) { return counters[name] || 0; }
+  function prefixed(counters, prefix) {
+    return Object.keys(counters).reduce(function (sum, name) {
+      return name.indexOf(prefix) === 0 ? sum + counters[name] : sum;
+    }, 0);
+  }
   function rows(tableId, rowsHtml) {
     var body = document.getElementById(tableId);
     if (body) body.innerHTML = rowsHtml;
@@ -102,8 +107,8 @@ _DASH_SCRIPT = """
     text("adm-ok", fmt(counter(counters, "serve.admit.accepted"), 0));
     text("adm-429", fmt(counter(counters, "serve.admit.rejected_429"), 0));
     text("adm-503", fmt(counter(counters, "serve.admit.rejected_503"), 0));
-    text("co-leader", fmt(counter(counters, "serve.coalesce.leader"), 0));
-    text("co-joined", fmt(counter(counters, "serve.coalesce.joined"), 0));
+    text("co-leader", fmt(prefixed(counters, "engine.inflight.leader."), 0));
+    text("co-joined", fmt(prefixed(counters, "engine.inflight.joined."), 0));
     function pgauge(name) { return gauges[name] || pg[name] || 0; }
     text("proc-rss", fmt(pgauge("proc.rss_bytes") / 1048576, 1) + " MiB");
     text("proc-cpu", fmt(pgauge("proc.cpu_user_seconds") +
@@ -199,6 +204,10 @@ def dashboard_html(
         except (TypeError, ValueError):
             return 0
 
+    def prefixed(prefix: str) -> int:
+        # Per-kind engine counters (engine.inflight.leader.<kind>, ...).
+        return sum(c(name) for name in counters if name.startswith(prefix))
+
     def pgauge(name: str) -> float:
         # The /proc sampler feeds the engine registry in serve mode, but
         # older snapshots kept proc.* in the process-wide one.
@@ -252,9 +261,10 @@ def dashboard_html(
         ),
         _panel(
             "Coalescing",
-            f'<div>leaders <b id="co-leader">{c("serve.coalesce.leader")}'
-            "</b> · joined "
-            f'<b id="co-joined">{c("serve.coalesce.joined")}</b></div>',
+            f'<div>leaders <b id="co-leader">'
+            f'{prefixed("engine.inflight.leader.")}</b> · joined '
+            f'<b id="co-joined">{prefixed("engine.inflight.joined.")}'
+            "</b></div>",
         ),
         _panel(
             "Process",

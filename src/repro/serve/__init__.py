@@ -3,12 +3,12 @@
 A stdlib-only asyncio HTTP/JSON front end over the
 :mod:`repro.engine` scheduler: population / simulation / experiment
 queries keyed by the engine's deterministic job identities, answered
-from the warm store when possible, coalesced when duplicated in flight,
-batched into shared pool dispatches when compatible, and admission-
-controlled (bounded queues, per-client round-robin fairness, 429/503 on
-overload). Progress streams as chunked JSON lines; ``/metrics`` and
-``/healthz`` expose the obs layer as a live dashboard; SIGTERM drains
-in-flight jobs before exit.
+from the warm store when possible, joined onto the engine's in-flight
+job when duplicated, batched into shared pool dispatches when
+compatible, and admission-controlled (bounded queues, per-client
+round-robin fairness, 429/503 on overload). Progress streams as
+chunked JSON lines; ``/metrics`` and ``/healthz`` expose the obs layer
+as a live dashboard; SIGTERM drains in-flight jobs before exit.
 
 See :mod:`repro.serve.server` for the architecture walk-through and
 :mod:`repro.serve.client` for the stdlib client.
@@ -17,7 +17,6 @@ See :mod:`repro.serve.server` for the architecture walk-through and
 from repro.serve.admission import AdmissionController, RejectedError
 from repro.serve.batcher import SimulationBatcher
 from repro.serve.client import ServeClient, ServeError
-from repro.serve.coalescer import Coalescer, Flight
 from repro.serve.protocol import ProtocolError
 from repro.serve.router import RouteError, Router
 from repro.serve.server import (
@@ -31,8 +30,6 @@ from repro.serve.server import (
 
 __all__ = [
     "AdmissionController",
-    "Coalescer",
-    "Flight",
     "ProtocolError",
     "RejectedError",
     "Request",

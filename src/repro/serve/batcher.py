@@ -59,19 +59,28 @@ class SimulationBatcher:
         """Requests currently waiting for a flush."""
         return self._pending
 
+    def has(self, settings, spec) -> bool:
+        """Does an identical request already wait for the next flush?"""
+        bucket = self._buckets.get(self._settings_key(settings))
+        return bucket is not None and any(
+            waiting == spec for waiting, _, _ in bucket.entries
+        )
+
     @staticmethod
     def _settings_key(settings) -> str:
         return (
             f"{settings.seed}:{settings.trace_length}:{settings.warmup}"
         )
 
-    async def simulate(
+    def simulate(
         self,
         settings,
         spec,
         progress: Optional[Callable[[int, int], None]] = None,
-    ):
-        """One simulation result, batched with compatible neighbours."""
+    ) -> asyncio.Future:
+        """A future of one simulation result, batched with compatible
+        neighbours. The request is in its bucket when this returns, so
+        :meth:`has` sees it at once."""
         loop = asyncio.get_running_loop()
         key = self._settings_key(settings)
         bucket = self._buckets.get(key)
@@ -81,15 +90,16 @@ class SimulationBatcher:
         bucket.entries.append((spec, future, progress))
         self._pending += 1
         self.registry.gauge("serve.batch.pending").set(self._pending)
+        future.add_done_callback(self._settled)
         if len(bucket.entries) >= self.max_batch:
             self._flush(key)
         elif bucket.handle is None:
             bucket.handle = loop.call_later(self.window, self._flush, key)
-        try:
-            return await future
-        finally:
-            self._pending -= 1
-            self.registry.gauge("serve.batch.pending").set(self._pending)
+        return future
+
+    def _settled(self, _future: asyncio.Future) -> None:
+        self._pending -= 1
+        self.registry.gauge("serve.batch.pending").set(self._pending)
 
     async def flush_all(self) -> None:
         """Dispatch every waiting bucket now (drain path)."""

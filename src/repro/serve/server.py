@@ -5,17 +5,22 @@ HTTP/JSON API. The request path composes the rest of this package:
 
 1. **Routing** (:mod:`repro.serve.router`) — exact method/path table.
 2. **Warm classification** — every query is keyed by its deterministic
-   job identity; :meth:`Engine.has_cached` decides (memo check + store
-   file existence, no decode) whether the request is answerable without
-   compute. Warm requests bypass admission entirely.
+   job identity. A key already in the engine's in-flight table joins
+   that computation (:meth:`Engine.join`, check and join in one step),
+   as does a simulation identical to one waiting in the batch window;
+   otherwise :meth:`Engine.has_cached` decides (memo check + store file
+   existence, no decode) whether the request is answerable without
+   compute. Warm requests and joiners bypass admission entirely.
 3. **Admission** (:mod:`repro.serve.admission`) — cold requests acquire
    a compute slot or are told 429/503; per-client round-robin keeps one
-   flooding client from starving the rest.
-4. **Coalescing** (:mod:`repro.serve.coalescer`) — concurrent identical
-   queries share one flight and one computation.
-5. **Batching** (:mod:`repro.serve.batcher`) — compatible simulation
-   jobs landing within the batch window ride one pool dispatch.
-6. **Observability** — every request runs inside a ``serve.request``
+   flooding client from starving the rest. Handlers then await the
+   engine's single-flight future (:meth:`Engine.submit` and friends), so
+   concurrent identical queries share one computation, and a client
+   that goes away never aborts the job for the others.
+4. **Batching** (:mod:`repro.serve.batcher`) — cold simulation jobs
+   (and their duplicates) landing within the batch window ride one pool
+   dispatch; warm ones go straight to the engine.
+5. **Observability** — every request runs inside a ``serve.request``
    trace span (the existing JSONL format) carrying a request id that is
    echoed back as ``X-Repro-Request-Id``, recorded into the rolling
    window rollup (:mod:`repro.obs.rollup`), retained in a bounded span
@@ -29,9 +34,11 @@ HTTP/JSON API. The request path composes the rest of this package:
 
 Progress streams as chunked ``application/x-ndjson``: one JSON object
 per line (``accepted``, ``progress``, ``result`` / ``error`` events).
+Each stream subscribes its own queue to the engine job's progress and
+ends when the job's future settles.
 
 Graceful shutdown: SIGTERM/SIGINT stops the listener, refuses new work
-with 503, lets every in-flight flight settle (bounded by
+with 503, lets every in-flight job settle (bounded by
 ``drain_timeout``), then exits — a supervisor can roll the service
 without dropping accepted jobs.
 """
@@ -39,13 +46,14 @@ without dropping accepted jobs.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import os
 import signal
 import threading
 import time
 from dataclasses import dataclass
-from typing import AsyncIterator, Dict, List, Optional, Tuple
+from typing import AsyncIterator, Callable, Dict, Optional, Tuple
 
 from repro.engine.store import canonical_json
 from repro.obs.promtext import CONTENT_TYPE as PROM_CONTENT_TYPE
@@ -56,7 +64,6 @@ from repro.obs.sampler import ResourceSampler
 from repro.obs.trace import span as trace_span
 from repro.serve.admission import AdmissionController, RejectedError
 from repro.serve.batcher import SimulationBatcher
-from repro.serve.coalescer import Coalescer, Flight
 from repro.serve.protocol import (
     ProtocolError,
     estimate_payload,
@@ -197,7 +204,6 @@ class YieldServer:
             max_per_client=self.config.max_per_client,
             registry=self.metrics,
         )
-        self.coalescer = Coalescer(registry=self.metrics)
         self.batcher = SimulationBatcher(
             engine, window=self.config.batch_window, registry=self.metrics
         )
@@ -286,15 +292,14 @@ class YieldServer:
         self._closed.set()
 
     async def _drain(self) -> None:
-        """Wait out accepted work: admission queues, batches, flights."""
+        """Wait out accepted work: admission queues, batches, engine jobs."""
         while (
             self.admission.active
             or self.admission.queued
-            or self.coalescer.flight_count()
+            or self.engine.inflight_count()
             or self.batcher.pending()
         ):
             await self.batcher.flush_all()
-            await self.coalescer.drain()
             await asyncio.sleep(0.02)
         # Let drained handlers write their final responses out.
         await asyncio.sleep(0.05)
@@ -543,101 +548,87 @@ class YieldServer:
             writer.write(b"0\r\n\r\n")
             await writer.drain()
         finally:
-            # Run the generator's cleanup now (admission release), not
-            # whenever the GC gets to it.
+            # Close the generator now, not whenever the GC gets to it.
             await response.stream.aclose()
 
     # ------------------------------------------------------------------
     # shared compute plumbing (used by the endpoint handlers)
     # ------------------------------------------------------------------
-    async def _admitted(self, key: str, kind: str, request: Request) -> bool:
-        """Acquire a compute slot when this request needs one.
+    async def _serve_job(
+        self, request: Request, kind: str, key: str, stream: bool,
+        start: Callable, payload: Callable, pending: bool = False,
+    ) -> Response:
+        """Answer one compute query with ``payload(result)``.
 
-        Warm queries (cache-answerable) and joiners of an existing
-        flight don't add compute, so they bypass admission; returns
-        whether a slot was actually acquired (and must be released).
-        Annotates the request's disposition for the rollup middleware.
+        A job already in the engine's in-flight table is joined in one
+        atomic step (:meth:`Engine.join`), and a simulation identical to
+        one ``pending`` in the batch window rides that batch; neither
+        adds compute, and nor does a warm (cache-answerable) query, so
+        all three bypass admission. The rest acquire a slot, released
+        when the job settles. ``start(progress)`` returns an awaitable
+        of the job's result (the engine's future wrapped for the loop,
+        or a batcher wait); ``progress`` is ``None`` for a plain JSON
+        response. Admission happens *before* a stream's 200 header goes
+        out, so an overloaded server still rejects it with a plain
+        429/503. Annotates the request's disposition for the rollup.
         """
-        if self.coalescer.get(key) is not None:
+        queue: asyncio.Queue = asyncio.Queue()
+        progress = None
+        if stream:
+            loop = asyncio.get_running_loop()
+
+            def progress(done: int, total: int) -> None:
+                loop.call_soon_threadsafe(
+                    queue.put_nowait,
+                    {"event": "progress", "done": done, "total": total},
+                )
+
+        joined = None if pending else self.engine.join(kind, key, progress)
+        held = False
+        if joined is not None or pending:
             request.disposition["coalesced"] = True
-            return False
-        if self.engine.has_cached(kind, key):
+        elif self.engine.has_cached(kind, key):
             self.metrics.counter("serve.request.warm").inc()
             request.disposition["warm"] = True
-            return False
-        self.metrics.counter("serve.request.cold").inc()
-        await self.admission.acquire(request.client)
-        return True
+        else:
+            self.metrics.counter("serve.request.cold").inc()
+            await self.admission.acquire(request.client)
+            held = True
+        job = (asyncio.wrap_future(joined) if joined is not None
+               else asyncio.ensure_future(start(progress)))
+        if held:
+            job.add_done_callback(lambda _: self.admission.release())
+        if not stream:
+            return Response(200, payload(await job))
+        job.add_done_callback(lambda _: queue.put_nowait(None))
+        return Response(200, stream=self._stream(
+            key, kind, request, job, queue, payload
+        ))
 
-    async def _run_flight(self, key: str, kind: str, request: Request, start):
-        held = await self._admitted(key, kind, request)
-        try:
-            return await self.coalescer.run(key, start)
-        finally:
-            if held:
-                self.admission.release()
-
-    def _stream_flight(
-        self, key: str, kind: str, request: Request, start, payload,
-        held: bool,
+    async def _stream(
+        self, key: str, kind: str, request: Request, job: asyncio.Future,
+        queue: asyncio.Queue, payload: Callable,
     ) -> AsyncIterator[dict]:
         """NDJSON event stream for one job (accepted → progress → result).
 
-        Admission (``held``) was acquired by the handler *before* the
-        200 header went out, so an overloaded server still rejects the
-        request with a plain 429/503 response; the slot is released when
-        the stream finishes (or the client goes away).
+        Progress arrives from engine threads through the per-request
+        ``queue``; the job's done callback ends the stream with ``None``.
+        A client that goes away stops the stream, never the job.
         """
-
-        async def events() -> AsyncIterator[dict]:
-            try:
-                flights: List[Flight] = []
-                task = asyncio.get_running_loop().create_task(
-                    self.coalescer.run(key, start, flight_out=flights)
-                )
-                await asyncio.sleep(0)  # let the flight register
-                flight = flights[0] if flights else None
-                queue = (
-                    flight.subscribe()
-                    if flight is not None and not flight.done.is_set()
-                    else None
-                )
-                yield {
-                    "event": "accepted",
-                    "key": key,
-                    "kind": kind,
-                    "coalesced": flight is not None and flight.waiters > 1,
-                }
-                if queue is not None:
-                    while True:
-                        event = await queue.get()
-                        if event.get("event") == "done":
-                            break
-                        yield event
-                try:
-                    result = await task
-                except Exception as exc:
-                    yield {"event": "error", "status": 500,
-                           "error": f"{type(exc).__name__}: {exc}"}
-                    return
-                yield {"event": "result", "payload": payload(result)}
-            finally:
-                if held:
-                    self.admission.release()
-
-        return events()
-
-    def _progress_publisher(self, flight: Flight):
-        """A thread-safe ``progress(done, total)`` that feeds the flight."""
-        loop = asyncio.get_running_loop()
-
-        def progress(done: int, total: int) -> None:
-            loop.call_soon_threadsafe(
-                flight.publish,
-                {"event": "progress", "done": done, "total": total},
-            )
-
-        return progress
+        yield {
+            "event": "accepted",
+            "key": key,
+            "kind": kind,
+            "coalesced": request.disposition.get("coalesced", False),
+        }
+        while (event := await queue.get()) is not None:
+            yield event
+        error = job.exception()
+        if error is not None:
+            yield {"event": "error", "status": 500,
+                   "error": f"{type(error).__name__}: {error}"}
+            return
+        yield {"event": "result", "payload": payload(job.result())}
 
 
 # ----------------------------------------------------------------------
@@ -664,7 +655,7 @@ async def _handle_healthz(server: YieldServer, request: Request) -> Response:
             "max_active": server.admission.max_active,
             "max_queued": server.admission.max_queued,
         },
-        "flights": server.coalescer.flight_count(),
+        "flights": server.engine.inflight_count(),
         "batch_pending": server.batcher.pending(),
         "requests": {
             "total": counters.counter("serve.requests").value,
@@ -713,7 +704,6 @@ async def _handle_metrics(server: YieldServer, request: Request) -> Response:
             "serve.uptime_seconds": time.time() - server.started,
             "serve.draining": 1.0 if server.draining else 0.0,
             "serve.connections": float(len(server._connections)),
-            "serve.flights": float(server.coalescer.flight_count()),
         },
     )
     return Response.text(200, text, content_type=PROM_CONTENT_TYPE)
@@ -738,72 +728,51 @@ async def _handle_dashboard(server: YieldServer, request: Request) -> Response:
 async def _handle_population(server: YieldServer, request: Request) -> Response:
     query = parse_population(request.json())
 
-    async def start(flight: Flight):
-        future = server.engine.submit_population(
-            query.settings, query.policy,
-            progress=server._progress_publisher(flight),
-        )
-        return await asyncio.wrap_future(future)
-
-    def payload(result) -> dict:
-        return population_payload(result, query.detail)
-
-    if query.stream:
-        held = await server._admitted(query.key, "population", request)
-        return Response(200, stream=server._stream_flight(
-            query.key, "population", request, start, payload, held
+    def start(progress):
+        return asyncio.wrap_future(server.engine.submit_population(
+            query.settings, query.policy, progress=progress
         ))
-    result = await server._run_flight(
-        query.key, "population", request, start
+
+    return await server._serve_job(
+        request, "population", query.key, query.stream, start,
+        lambda result: population_payload(result, query.detail),
     )
-    return Response(200, payload(result))
 
 
 async def _handle_estimate(server: YieldServer, request: Request) -> Response:
     query = parse_estimate(request.json())
 
-    async def start(flight: Flight):
-        future = server.engine.submit_estimate(
+    def start(progress):
+        return asyncio.wrap_future(server.engine.submit_estimate(
             query.settings, query.policy, estimator=query.spec,
-            progress=server._progress_publisher(flight),
-        )
-        return await asyncio.wrap_future(future)
-
-    if query.stream:
-        held = await server._admitted(query.key, "estimate", request)
-        return Response(200, stream=server._stream_flight(
-            query.key, "estimate", request, start, estimate_payload, held
+            progress=progress,
         ))
-    result = await server._run_flight(query.key, "estimate", request, start)
-    return Response(200, estimate_payload(result))
+
+    return await server._serve_job(
+        request, "estimate", query.key, query.stream, start, estimate_payload
+    )
 
 
 async def _handle_simulate(server: YieldServer, request: Request) -> Response:
     query = parse_simulation(request.json())
 
-    async def start(flight: Flight):
-        return await server.batcher.simulate(
-            query.settings, query.spec,
-            progress=server._progress_publisher(flight),
+    def start(progress):
+        if request.disposition.get("warm"):  # skip the batch window
+            return asyncio.wrap_future(server.engine.submit_simulations(
+                query.settings, [query.spec], progress=progress
+            )[0])
+        # Cold, or a duplicate of a pending one: the flush joins
+        # duplicates in the engine.
+        request.disposition["batched"] = True
+        return server.batcher.simulate(
+            query.settings, query.spec, progress=progress
         )
 
-    if query.stream:
-        held = await server._admitted(query.key, "simulation", request)
-        if held:
-            request.disposition["batched"] = True
-        return Response(200, stream=server._stream_flight(
-            query.key, "simulation", request, start,
-            simulation_payload, held,
-        ))
-    held = await server._admitted(query.key, "simulation", request)
-    if held:
-        request.disposition["batched"] = True
-    try:
-        result = await server.coalescer.run(query.key, start)
-    finally:
-        if held:
-            server.admission.release()
-    return Response(200, simulation_payload(result))
+    return await server._serve_job(
+        request, "simulation", query.key, query.stream, start,
+        simulation_payload,
+        pending=server.batcher.has(query.settings, query.spec),
+    )
 
 
 async def _handle_experiment(server: YieldServer, request: Request) -> Response:
@@ -811,15 +780,19 @@ async def _handle_experiment(server: YieldServer, request: Request) -> Response:
 
     query = parse_experiment(request.json())
 
-    async def start(flight: Flight):
-        return await asyncio.get_running_loop().run_in_executor(
-            None, run_experiment, query.name, query.settings
-        )
+    def start(progress):
+        # A paper-scale run would hold an engine leader thread for its
+        # whole length; run it on the loop's executor instead.
+        loop = asyncio.get_running_loop()
+        return asyncio.wrap_future(server.engine.submit(
+            "experiment", query.key,
+            lambda _: run_experiment(query.name, query.settings),
+            schedule=functools.partial(loop.run_in_executor, None),
+        ))
 
-    result = await server._run_flight(
-        query.key, "experiment", request, start
+    return await server._serve_job(
+        request, "experiment", query.key, False, start, experiment_payload
     )
-    return Response(200, experiment_payload(result))
 
 
 # ----------------------------------------------------------------------

@@ -163,11 +163,6 @@ class CompiledTrace:
 
     # ------------------------------------------------------------------
     @property
-    def root_length(self) -> int:
-        """Length of the underlying buffers (>= :attr:`length`)."""
-        return len(self.ops)
-
-    @property
     def nbytes(self) -> int:
         """Bytes held by the packed instruction buffers."""
         return sum(

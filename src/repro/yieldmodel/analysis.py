@@ -49,7 +49,7 @@ from repro.yieldmodel.constraints import (
 )
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
-    from repro.schemes.base import RescueOutcome, Scheme
+    from repro.schemes.base import Scheme
 
 __all__ = [
     "LossBreakdown",
@@ -255,12 +255,6 @@ class PopulationResult:
         )
 
     # ------------------------------------------------------------------
-    def apply_scheme(
-        self, scheme: "Scheme", horizontal: bool = False
-    ) -> List["RescueOutcome"]:
-        """Run ``scheme`` over every chip of the chosen architecture."""
-        return [scheme.rescue(case) for case in self.select(horizontal)]
-
     def breakdown(
         self,
         schemes: Sequence["Scheme"],

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import asyncio
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -19,6 +21,7 @@ from repro.engine import (
     reset_engine,
 )
 from repro.engine.codec import encode_population
+from repro.engine.core import Engine, EngineConfig
 from repro.engine.store import SCHEMA_VERSION, canonical_json
 from repro.experiments import ExperimentSettings, run_experiment
 from repro.experiments.common import clear_caches, population, simulate_config
@@ -329,3 +332,226 @@ class TestInflightDedup:
         seen = []
         engine.population(settings, progress=lambda d, t: seen.append((d, t)))
         assert seen and seen[-1][0] == seen[-1][1]
+
+    def test_cancelling_one_handle_keeps_the_shared_job(self, tmp_path):
+        engine = configure_engine(workers=1, cache_dir=tmp_path)
+        settings = ExperimentSettings(seed=126, chips=300)
+        first = engine.submit_population(settings)
+        second = engine.submit_population(settings)
+        # Both callers hold the same in-flight job: one giving up must
+        # neither cancel it for the other nor break the leader's settle.
+        assert not first.cancel()
+        result = second.result(timeout=60)
+        assert result.cases
+        again = engine.submit_population(settings)
+        assert again.result(timeout=0) is result
+        counters = engine.metrics.snapshot()["counters"]
+        assert counters["engine.inflight.cached.population"] == 1
+
+
+class TestSingleFlight:
+    """``Engine.submit``: the one place in-flight jobs are deduplicated."""
+
+    @pytest.fixture
+    def engine(self):
+        engine = Engine(EngineConfig(workers=1, persistent=False))
+        yield engine
+        engine.shutdown()
+
+    def test_concurrent_identical_jobs_compute_once(self, engine):
+        release = threading.Event()
+        calls = []
+
+        def compute(progress):
+            calls.append("job")
+            release.wait(10)
+            return 42
+
+        futures = [engine.submit("job", "k", compute) for _ in range(5)]
+        release.set()
+        assert [f.result(timeout=10) for f in futures] == [42] * 5
+        assert calls == ["job"]
+        counters = engine.metrics.snapshot()["counters"]
+        assert counters["engine.inflight.leader.job"] == 1
+        assert counters["engine.inflight.joined.job"] == 4
+        assert engine.inflight_count() == 0
+
+    def test_distinct_keys_do_not_coalesce(self, engine):
+        futures = [
+            engine.submit("job", key, lambda _, key=key: key)
+            for key in ("x", "y")
+        ]
+        assert [f.result(timeout=10) for f in futures] == ["x", "y"]
+        counters = engine.metrics.snapshot()["counters"]
+        assert counters["engine.inflight.leader.job"] == 2
+        assert "engine.inflight.joined.job" not in counters
+
+    def test_error_propagates_to_all_waiters(self, engine):
+        release = threading.Event()
+
+        def compute(progress):
+            release.wait(10)
+            raise ValueError("boom")
+
+        futures = [engine.submit("job", "bad", compute) for _ in range(3)]
+        release.set()
+        for future in futures:
+            with pytest.raises(ValueError, match="boom"):
+                future.result(timeout=10)
+        assert engine.inflight_count() == 0
+
+    def test_one_waiter_cancelling_does_not_kill_the_others(self, engine):
+        release = threading.Event()
+
+        def compute(progress):
+            release.wait(10)
+            return "done"
+
+        async def scenario():
+            leader = asyncio.wrap_future(engine.submit("job", "k", compute))
+            joiner = asyncio.wrap_future(engine.submit("job", "k", compute))
+            leader.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await leader
+            release.set()
+            return await joiner
+
+        assert asyncio.run(scenario()) == "done"
+
+    def test_progress_fans_out_to_subscribers(self, engine):
+        release = threading.Event()
+        seen = {"leader": [], "joiner": []}
+
+        def compute(progress):
+            release.wait(10)
+            progress(1, 2)
+            progress(2, 2)
+            return "ok"
+
+        for who in seen:
+            future = engine.submit(
+                "job", "k", compute,
+                progress=lambda done, total, who=who: seen[who].append(
+                    (done, total)
+                ),
+            )
+            future.add_done_callback(
+                lambda _, who=who: seen[who].append("done")
+            )
+        release.set()
+        engine.shutdown()  # waits for the leader, callbacks included
+        # The joiner hears every progress call of the leader's job, and
+        # the future settling is each subscriber's terminal event.
+        assert seen["leader"] == seen["joiner"] == [(1, 2), (2, 2), "done"]
+
+    def test_concurrent_submitters_never_run_a_key_twice_at_once(self, engine):
+        keys, threads, rounds = ("a", "b", "c"), 12, 20
+        lock = threading.Lock()
+        running = {key: 0 for key in keys}
+        overlaps = []
+
+        def compute_for(key):
+            def compute(progress):
+                with lock:
+                    running[key] += 1
+                    if running[key] > 1:
+                        overlaps.append(key)
+                time.sleep(0.0005)
+                with lock:
+                    running[key] -= 1
+                return key
+            return compute
+
+        futures, errors = [], []
+
+        def submitter(i):
+            try:
+                for r in range(rounds):
+                    key = keys[(i + r) % len(keys)]
+                    futures.append(
+                        (key, engine.submit("job", key, compute_for(key)))
+                    )
+            except Exception as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(target=submitter, args=(i,))
+                for i in range(threads)
+            ]
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in workers)
+        assert not errors
+        assert all(f.result(timeout=60) == key for key, f in futures)
+        assert overlaps == []
+        counters = engine.metrics.snapshot()["counters"]
+        assert (
+            counters["engine.inflight.leader.job"]
+            + counters.get("engine.inflight.joined.job", 0)
+        ) == threads * rounds
+        assert engine.inflight_count() == 0
+
+    def test_join_is_one_step_against_the_table(self, engine):
+        assert engine.join("job", "k") is None
+        release = threading.Event()
+        seen = []
+
+        def compute(progress):
+            release.wait(10)
+            progress(1, 1)
+            return "ok"
+
+        leader = engine.submit("job", "k", compute)
+        joined = engine.join("job", "k", lambda d, t: seen.append((d, t)))
+        assert joined is leader
+        release.set()
+        assert joined.result(timeout=10) == "ok"
+        engine.shutdown()
+        assert seen == [(1, 1)]
+        assert engine.join("job", "k") is None
+        counters = engine.metrics.snapshot()["counters"]
+        assert counters["engine.inflight.joined.job"] == 1
+
+    def test_a_raising_subscriber_does_not_starve_the_others(self, engine):
+        release = threading.Event()
+        seen = []
+
+        def compute(progress):
+            release.wait(10)
+            progress(1, 2)
+            progress(2, 2)
+            return "ok"
+
+        def gone(done, total):
+            raise RuntimeError("Event loop is closed")
+
+        engine.submit("job", "k", compute, progress=gone)
+        future = engine.submit(
+            "job", "k", compute, progress=lambda d, t: seen.append((d, t))
+        )
+        release.set()
+        assert future.result(timeout=10) == "ok"
+        engine.shutdown()
+        assert seen == [(1, 2), (2, 2)]
+
+    def test_schedule_starts_the_leader_off_the_pool(self, engine):
+        names = []
+
+        def compute(progress):
+            names.append(threading.current_thread().name)
+            return "ok"
+
+        def schedule(fn):
+            threading.Thread(target=fn, name="own-thread").start()
+
+        future = engine.submit("job", "k", compute, schedule=schedule)
+        assert future.result(timeout=10) == "ok"
+        assert names == ["own-thread"]
+        assert engine._submit_pool is None

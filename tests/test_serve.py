@@ -7,7 +7,7 @@ asserted here:
 
 * N concurrent identical cold queries cost exactly one pool dispatch
   (``stage.population`` histogram count), with the surplus accounted for
-  by coalesce-joins or warm hits;
+  by joins of the engine's in-flight job or warm hits;
 * a repeat query after completion costs zero dispatches and returns a
   payload **bit-identical** to encoding the direct engine result;
 * overload yields clean 429/503 responses, never a crashed server;
@@ -27,6 +27,7 @@ import subprocess
 import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -143,10 +144,11 @@ def test_concurrent_identical_queries_one_dispatch(served):
     def delta(name):
         return after.get(name, 0) - before.get(name, 0)
 
-    assert delta("serve.coalesce.leader") == 1
-    # Everyone else either joined the flight or arrived after it settled
-    # (a warm store hit) — both cost zero dispatches.
-    assert delta("serve.coalesce.joined") + delta("serve.request.warm") == n - 1
+    assert delta("engine.inflight.leader.population") == 1
+    # Everyone else either joined the engine job or arrived after it
+    # settled (a warm store hit) — both cost zero dispatches.
+    joined = delta("engine.inflight.joined.population")
+    assert joined + delta("serve.request.warm") == n - 1
 
 
 def test_warm_repeat_zero_dispatch_bit_identical(served):
@@ -246,9 +248,194 @@ def test_population_stream_events(served):
     assert warm[-1]["payload"] == result
 
 
+@pytest.fixture
+def population_gate(served, monkeypatch):
+    """Holds the served engine's population jobs until the test sets it."""
+    engine = served[0]
+    gate = threading.Event()
+    population = engine.population
+
+    def gated(*args, **kwargs):
+        gate.wait(30)
+        return population(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "population", gated)
+    yield gate
+    gate.set()
+
+
+def _wait_for(predicate, timeout=30.0):
+    deadline = time.time() + timeout
+    while not predicate():
+        assert time.time() < deadline, "timed out waiting"
+        time.sleep(0.01)
+
+
+def _delta(engine, before, name):
+    return _counters(engine).get(name, 0) - before.get(name, 0)
+
+
+def test_concurrent_streams_share_progress_and_result(served, population_gate):
+    engine, host, port = served
+    before = _counters(engine)
+    streams, errors = [None, None], []
+
+    def stream(i):
+        try:
+            with ServeClient(host, port, client_id=f"stream-{i}") as client:
+                streams[i] = list(client.population_stream(seed=56, chips=2000))
+        except Exception as exc:  # noqa: BLE001
+            errors.append(exc)
+
+    threads = [threading.Thread(target=stream, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    # Hold the leader until the second stream has joined its job.
+    _wait_for(lambda: _delta(
+        engine, before, "engine.inflight.joined.population") == 1)
+    population_gate.set()
+    for t in threads:
+        t.join(timeout=120)
+
+    assert not errors
+    for events in streams:
+        kinds = [event["event"] for event in events]
+        assert kinds[0] == "accepted" and kinds[-1] == "result"
+        # The joiner hears the leader's progress, not just the result.
+        assert "progress" in kinds
+    assert streams[0][-1] == streams[1][-1]
+    assert _delta(engine, before, "engine.inflight.leader.population") == 1
+
+
+def test_stream_disconnect_does_not_abort_the_job(served, population_gate):
+    engine, host, port = served
+    before = _counters(engine)
+    with ServeClient(host, port, client_id="quitter") as quitter:
+        events = quitter.population_stream(seed=57, chips=2000)
+        accepted = next(events)
+        assert accepted["event"] == "accepted"
+        events.close()  # hang up mid-job
+    results = []
+
+    def stay():
+        with ServeClient(host, port, client_id="stayer") as stayer:
+            results.append(stayer.population(seed=57, chips=2000))
+
+    stayer = threading.Thread(target=stay)
+    stayer.start()
+    # The quitter's job is still held open: the stayer joins it.
+    _wait_for(lambda: _delta(
+        engine, before, "engine.inflight.joined.population") == 1)
+    population_gate.set()
+    stayer.join(timeout=120)
+    assert results and results[0]["kind"] == "population"
+    assert _delta(engine, before, "engine.inflight.leader.population") == 1
+    assert engine.store.path_for("population", accepted["key"]).is_file()
+
+
+def test_duplicate_experiments_run_once(served, monkeypatch):
+    import repro.experiments as experiments
+
+    engine, host, port = served
+    n = 3
+    release = threading.Event()
+    calls = []
+
+    def fake_run(name, settings):
+        calls.append((name, threading.current_thread().name))
+        release.wait(30)
+        return SimpleNamespace(
+            experiment=name, title="fake", headers=("a",), rows=[(1,)],
+            notes=[], text="fake",
+        )
+
+    monkeypatch.setattr(experiments, "run_experiment", fake_run)
+    before = _counters(engine)
+    results, errors = [None] * n, []
+
+    def query(i):
+        try:
+            with ServeClient(host, port, client_id=f"exp-{i}") as client:
+                results[i] = client.experiment("table2", seed=58, chips=40)
+        except Exception as exc:  # noqa: BLE001
+            errors.append(exc)
+
+    threads = [threading.Thread(target=query, args=(i,)) for i in range(n)]
+    for t in threads:
+        t.start()
+
+    def joined():
+        return _delta(engine, before, "engine.inflight.joined.experiment")
+
+    _wait_for(lambda: joined() == n - 1)
+    release.set()
+    for t in threads:
+        t.join(timeout=60)
+
+    assert not errors
+    assert [name for name, _ in calls] == ["table2"]
+    # The run holds no thread of the engine's leader pool.
+    assert not calls[0][1].startswith("repro-engine")
+    assert all(r == results[0] for r in results)
+
+
+def test_warm_simulate_skips_the_batch_window(served):
+    engine, host, port = served
+    query = dict(benchmark="gzip", seed=45, trace_length=2000, warmup=200)
+    with ServeClient(host, port) as client:
+        first = client.simulate(**query)
+        before = _counters(engine)
+        repeat = client.simulate(**query)
+    assert repeat == first
+    after = _counters(engine)
+    for name in ("serve.batch.jobs", "serve.batch.dispatches"):
+        assert after.get(name, 0) == before.get(name, 0), name
+
+
 # ----------------------------------------------------------------------
 # admission control under overload
 # ----------------------------------------------------------------------
+def test_duplicate_cold_simulations_share_one_admission(tmp_path):
+    engine = Engine(EngineConfig(workers=1, cache_dir=tmp_path / "store"))
+    # One slot, one queue place, and a window every duplicate lands in.
+    thread = ServerThread(engine, ServeConfig(
+        port=0, max_active=1, max_queued=1, batch_window=0.5
+    ))
+    host, port = thread.start()
+    try:
+        n = 4
+        before = _counters(engine)
+        results, errors = [None] * n, []
+        barrier = threading.Barrier(n)
+
+        def query(i):
+            try:
+                barrier.wait()
+                with ServeClient(host, port, client_id=f"dup-{i}") as client:
+                    results[i] = client.simulate(
+                        "gzip", seed=46, trace_length=2000, warmup=200
+                    )
+            except Exception as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        threads = [threading.Thread(target=query, args=(i,)) for i in range(n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+
+        assert not errors
+        assert all(r == results[0] for r in results)
+        assert _delta(engine, before, "serve.request.cold") == 1
+        assert _delta(engine, before, "engine.inflight.leader.simulation") == 1
+        assert _delta(
+            engine, before, "engine.inflight.joined.simulation"
+        ) + _delta(engine, before, "serve.request.warm") == n - 1
+    finally:
+        thread.stop()
+        engine.shutdown()
+
+
 def test_overload_yields_429_and_503(tmp_path):
     engine = Engine(EngineConfig(workers=1, cache_dir=tmp_path / "store"))
     thread = ServerThread(

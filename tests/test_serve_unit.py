@@ -1,8 +1,9 @@
 """Unit tests for the serve building blocks (no sockets).
 
-Admission control, coalescing, batching, routing and the wire protocol
-are each exercised in isolation here; the live-server end-to-end path is
-in ``test_serve.py``.
+Admission control, batching, routing and the wire protocol are each
+exercised in isolation here; the live-server end-to-end path is in
+``test_serve.py``, and single-flight dedup is the engine's (see
+``test_engine.py``).
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import pytest
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.admission import AdmissionController, RejectedError
 from repro.serve.batcher import SimulationBatcher
-from repro.serve.coalescer import Coalescer
 from repro.serve.protocol import (
     ProtocolError,
     parse_experiment,
@@ -129,110 +129,6 @@ class TestAdmission:
             # The slot still hands over cleanly afterwards.
             ctl.release()
             assert ctl.active == 0
-
-        run(scenario())
-
-
-# ----------------------------------------------------------------------
-# coalescer
-# ----------------------------------------------------------------------
-class TestCoalescer:
-    def test_concurrent_identical_jobs_compute_once(self):
-        async def scenario():
-            registry = MetricsRegistry()
-            co = Coalescer(registry)
-            calls = []
-
-            async def start(flight):
-                calls.append(flight.key)
-                await asyncio.sleep(0.01)
-                return 42
-
-            results = await asyncio.gather(
-                *(co.run("job", start) for _ in range(5))
-            )
-            assert results == [42] * 5
-            assert calls == ["job"]
-            snap = registry.snapshot()["counters"]
-            assert snap["serve.coalesce.leader"] == 1
-            assert snap["serve.coalesce.joined"] == 4
-            assert co.flight_count() == 0
-
-        run(scenario())
-
-    def test_distinct_keys_do_not_coalesce(self):
-        async def scenario():
-            co = Coalescer()
-            calls = []
-
-            async def start(flight):
-                calls.append(flight.key)
-                return flight.key
-
-            results = await asyncio.gather(
-                co.run("x", start), co.run("y", start)
-            )
-            assert sorted(results) == ["x", "y"]
-            assert sorted(calls) == ["x", "y"]
-
-        run(scenario())
-
-    def test_error_propagates_to_all_waiters(self):
-        async def scenario():
-            co = Coalescer()
-
-            async def start(flight):
-                await asyncio.sleep(0.01)
-                raise ValueError("boom")
-
-            results = await asyncio.gather(
-                *(co.run("bad", start) for _ in range(3)),
-                return_exceptions=True,
-            )
-            assert all(isinstance(r, ValueError) for r in results)
-            assert co.flight_count() == 0
-
-        run(scenario())
-
-    def test_leader_cancellation_does_not_kill_joiners(self):
-        async def scenario():
-            co = Coalescer()
-
-            async def start(flight):
-                await asyncio.sleep(0.02)
-                return "done"
-
-            leader = asyncio.ensure_future(co.run("k", start))
-            await asyncio.sleep(0)
-            joiner = asyncio.ensure_future(co.run("k", start))
-            await asyncio.sleep(0)
-            leader.cancel()
-            try:
-                await leader
-            except asyncio.CancelledError:
-                pass
-            assert await joiner == "done"
-
-        run(scenario())
-
-    def test_progress_fans_out_to_subscribers(self):
-        async def scenario():
-            co = Coalescer()
-            flights = []
-            seen = []
-
-            async def start(flight):
-                flight.publish({"event": "progress", "done": 1, "total": 2})
-                return "ok"
-
-            task = asyncio.ensure_future(co.run("k", start, flights))
-            await asyncio.sleep(0)
-            queue = flights[0].subscribe()
-            await task
-            while not queue.empty():
-                seen.append(queue.get_nowait())
-            # Terminal done event always lands, even for late subscribers.
-            assert seen[-1] == {"event": "done", "ok": True}
 
         run(scenario())
 
