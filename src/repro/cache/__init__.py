@@ -25,7 +25,6 @@ from repro.cache.replacement import (
 from repro.cache.setassoc import AccessResult, SetAssociativeCache, WayConfig
 from repro.cache.hierarchy import (
     HierarchyConfig,
-    MemoryAccess,
     MemoryHierarchy,
     PAPER_HIERARCHY,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "SetAssociativeCache",
     "WayConfig",
     "HierarchyConfig",
-    "MemoryAccess",
     "MemoryHierarchy",
     "PAPER_HIERARCHY",
 ]

@@ -16,7 +16,7 @@ is modelled here).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.cache.geometry import CacheGeometry
@@ -25,7 +25,7 @@ from repro.core import units
 from repro.core.validation import require_positive
 from repro.yieldmodel.constraints import BASE_ACCESS_CYCLES
 
-__all__ = ["HierarchyConfig", "MemoryAccess", "MemoryHierarchy", "PAPER_HIERARCHY"]
+__all__ = ["HierarchyConfig", "MemoryHierarchy", "PAPER_HIERARCHY"]
 
 
 @dataclass(frozen=True)
@@ -52,31 +52,14 @@ class HierarchyConfig:
 PAPER_HIERARCHY = HierarchyConfig()
 
 
-@dataclass(frozen=True)
-class MemoryAccess:
-    """Timing outcome of one data access.
-
-    Attributes
-    ----------
-    latency:
-        Total cycles from access start to data available.
-    l1_hit:
-        True if the L1 data cache hit.
-    l2_hit:
-        True if the access was served from L2 (only meaningful on L1
-        miss).
-    way:
-        The L1 way that hit (or that the refill filled).
-    """
-
-    latency: int
-    l1_hit: bool
-    l2_hit: bool
-    way: Optional[int]
-
-
 class MemoryHierarchy:
     """L1I + L1D + L2 + memory with yield-aware L1D configuration.
+
+    Every level is driven through :meth:`SetAssociativeCache.probe` and
+    :meth:`~SetAssociativeCache.install`, so no access allocates: the
+    pipeline probes the L1D itself (it needs the hit way to spot a slow
+    way), looks the hit latency up in :attr:`l1d_hit_latencies` and
+    hands misses to :meth:`data_miss`.
 
     Parameters
     ----------
@@ -103,74 +86,55 @@ class MemoryHierarchy:
         )
         self.l2 = SetAssociativeCache(config.l2_geometry, name="L2")
         self.uniform_load_latency = uniform_load_latency
-        # Outstanding L1D misses by block address -> completion latency
-        # bookkeeping is the pipeline's job; here we only merge repeated
-        # misses to the same block so they are not double-counted in L2.
-        self._outstanding: Dict[int, int] = {}
+        #: Load-to-use cycles of an L1D hit per way (``None``: disabled).
+        self.l1d_hit_latencies: Tuple[Optional[int], ...] = tuple(
+            None if latency is None
+            else latency if uniform_load_latency is None
+            else uniform_load_latency
+            for latency in self.l1d.config.latencies
+        )
         self.l2_accesses = 0
         self.memory_accesses = 0
 
     # ------------------------------------------------------------------
-    def _l1_hit_latency(self, way_latency: int) -> int:
-        if self.uniform_load_latency is not None:
-            return self.uniform_load_latency
-        return way_latency
-
-    def data_access(self, address: int, write: bool = False) -> MemoryAccess:
-        """Access the data hierarchy; fills on miss; returns total latency."""
-        result = self.l1d.access(address, write=write)
-        if result.hit:
-            assert result.latency is not None
-            return MemoryAccess(
-                latency=self._l1_hit_latency(result.latency),
-                l1_hit=True,
-                l2_hit=False,
-                way=result.way,
-            )
-
-        # L1 miss: check the L2 (allocating both levels on the way back).
-        block = self.l1d.geometry.block_address(address)
-        l2_result = self.l2.access(address, write=False)
+    def _beyond_l1(self, address: int) -> int:
+        """Serve an L1 miss from the L2 (filling it from memory on a
+        miss); returns the cycles spent beyond the L1."""
+        l2 = self.l2
+        block = address >> l2.offset_bits
         self.l2_accesses += 1
-        if l2_result.hit:
-            beyond = self.config.l2_latency
-            l2_hit = True
-        else:
-            self.l2.fill(address)
-            self.memory_accesses += 1
-            beyond = self.config.l2_latency + self.config.memory_latency
-            l2_hit = False
-        fill = self.l1d.fill(address, dirty=write)
-        if fill.evicted_dirty and fill.evicted_block is not None:
-            # Write the dirty victim back into L2 (state only; the
-            # writeback bandwidth is not separately timed).
-            offset_bits = self.l1d.geometry.block_bytes.bit_length() - 1
-            self.l2.access(fill.evicted_block << offset_bits, write=True)
-        base = self.l1d.config.latencies[fill.way] if fill.way is not None else None
-        l1_portion = self._l1_hit_latency(
-            base if base is not None else self.config.l1d_latency
+        if l2.probe(block) >= 0:
+            return self.config.l2_latency
+        l2.install(block)
+        self.memory_accesses += 1
+        return self.config.l2_latency + self.config.memory_latency
+
+    def data_miss(self, address: int, write: bool = False) -> int:
+        """Refill the L1D after a missed :meth:`SetAssociativeCache.probe`.
+
+        Allocates in the L2 and the L1D, writes a dirty L1D victim back
+        into the L2 (state only; the writeback bandwidth is not
+        separately timed) and returns the total load-to-use cycles.
+        """
+        beyond = self._beyond_l1(address)
+        l1d = self.l1d
+        way, evicted, evicted_dirty = l1d.install(
+            address >> l1d.offset_bits, write
         )
-        return MemoryAccess(
-            latency=l1_portion + beyond,
-            l1_hit=False,
-            l2_hit=l2_hit,
-            way=fill.way,
-        )
+        if evicted_dirty:
+            self.l2.probe(
+                (evicted << l1d.offset_bits) >> self.l2.offset_bits, True
+            )
+        return self.l1d_hit_latencies[way] + beyond
 
     def instruction_fetch(self, address: int) -> int:
         """Fetch latency (cycles) for the instruction block of ``address``."""
-        result = self.l1i.access(address, write=False)
-        if result.hit:
+        l1i = self.l1i
+        block = address >> l1i.offset_bits
+        if l1i.probe(block) >= 0:
             return self.config.l1i_latency
-        l2_result = self.l2.access(address, write=False)
-        self.l2_accesses += 1
-        if l2_result.hit:
-            beyond = self.config.l2_latency
-        else:
-            self.l2.fill(address)
-            self.memory_accesses += 1
-            beyond = self.config.l2_latency + self.config.memory_latency
-        self.l1i.fill(address)
+        beyond = self._beyond_l1(address)
+        l1i.install(block)
         return self.config.l1i_latency + beyond
 
     # ------------------------------------------------------------------

@@ -21,7 +21,7 @@ pipeline models stores as non-blocking through a store buffer).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.cache.geometry import CacheGeometry
 from repro.cache.replacement import LRUPolicy, ReplacementPolicy
@@ -114,18 +114,16 @@ class AccessResult:
     evicted_dirty: bool = False
 
 
-class _Line:
-    """One resident block (slotted: millions are churned per run)."""
-
-    __slots__ = ("tag", "dirty")
-
-    def __init__(self, tag: int, dirty: bool = False) -> None:
-        self.tag = tag
-        self.dirty = dirty
-
-
 class SetAssociativeCache:
     """Functional set-associative cache with yield-aware configuration.
+
+    The primitive is block-addressed and allocation-free:
+    :meth:`probe` answers a hit way or ``-1`` and :meth:`install` fills a
+    block, returning plain ints. Lines live in per-set lists (a tag per
+    way, ``-1`` when empty, plus a dirty flag per way); a way outside a
+    set's eligible ways is never filled, so its tag stays ``-1``.
+    :meth:`lookup`/:meth:`access`/:meth:`fill` are byte-address
+    wrappers that report an :class:`AccessResult`.
 
     Parameters
     ----------
@@ -153,51 +151,56 @@ class SetAssociativeCache:
             if config is not None
             else WayConfig.uniform(geometry.associativity)
         )
-        if self.config.num_ways != geometry.associativity:
+        ways = geometry.associativity
+        if self.config.num_ways != ways:
             raise ConfigurationError(
                 f"config has {self.config.num_ways} ways, geometry has "
-                f"{geometry.associativity}"
+                f"{ways}"
             )
+        num_sets = geometry.num_sets
         self.name = name
-        self._policy_factory = policy_factory
-        self._eligible: List[Tuple[int, ...]] = []
-        self._lines: List[Dict[int, Optional[_Line]]] = [
-            {w: None for w in range(geometry.associativity)}
-            for _ in range(geometry.num_sets)
+        self.offset_bits = geometry.block_bytes.bit_length() - 1
+        self._set_bits = num_sets.bit_length() - 1
+        self._set_mask = num_sets - 1
+        self._tags: List[List[int]] = [[-1] * ways for _ in range(num_sets)]
+        self._dirty: List[List[bool]] = [
+            [False] * ways for _ in range(num_sets)
         ]
         self._policies: List[ReplacementPolicy] = [
-            policy_factory() for _ in range(geometry.num_sets)
+            policy_factory() for _ in range(num_sets)
         ]
-        # The way configuration is frozen, so each set's eligible-way
-        # list can be computed once here instead of per access. An
-        # H-YAPD band disable on a cache with fewer ways than bands can
-        # leave an address group with *zero* usable ways — reject that
-        # here with a clear error instead of letting a replacement
-        # policy fail mid-simulation.
-        group_eligible: Dict[int, Tuple[int, ...]] = {}
-        for set_index in range(geometry.num_sets):
-            group = geometry.address_group(set_index, self.config.num_bands)
-            if group not in group_eligible:
-                eligible = tuple(
-                    w
-                    for w in range(geometry.associativity)
-                    if self.config.way_enabled_for_group(w, group)
+        # The way configuration is frozen, so eligibility is computed
+        # once per H-YAPD address group (a contiguous run of sets; the
+        # last group takes the remainder) instead of per access. A band
+        # disable on a cache with fewer ways than bands can leave a group
+        # with *zero* usable ways — reject that here with a clear error
+        # instead of letting a replacement policy fail mid-simulation.
+        num_bands = self.config.num_bands
+        sets_per_group = max(num_sets // num_bands, 1)
+        self._eligible: List[Tuple[int, ...]] = []
+        for group in range(min(num_bands, num_sets)):
+            eligible = tuple(
+                w for w in range(ways)
+                if self.config.way_enabled_for_group(w, group)
+            )
+            if not eligible:
+                raise ConfigurationError(
+                    f"{name}: H-YAPD band disable leaves address group "
+                    f"{group} with zero usable ways "
+                    f"({ways} ways, {num_bands} bands, band "
+                    f"{self.config.disabled_band} disabled)"
                 )
-                if not eligible:
-                    raise ConfigurationError(
-                        f"{name}: H-YAPD band disable leaves address group "
-                        f"{group} with zero usable ways "
-                        f"({geometry.associativity} ways, "
-                        f"{self.config.num_bands} bands, band "
-                        f"{self.config.disabled_band} disabled)"
-                    )
-                group_eligible[group] = eligible
-            self._eligible.append(group_eligible[group])
+            start = group * sets_per_group
+            end = (
+                num_sets if group == num_bands - 1
+                else min(start + sets_per_group, num_sets)
+            )
+            self._eligible.extend([eligible] * (end - start))
         # statistics
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.way_hits = [0] * geometry.associativity
+        self.way_hits = [0] * ways
 
     # ------------------------------------------------------------------
     def eligible_ways(self, set_index: int) -> List[int]:
@@ -209,157 +212,101 @@ class SetAssociativeCache:
         return len(self._eligible[set_index])
 
     # ------------------------------------------------------------------
-    def lookup(self, address: int) -> AccessResult:
-        """Probe without modifying any state (no LRU update)."""
-        set_index = self.geometry.set_index(address)
-        tag = self.geometry.tag(address)
-        for way in self._eligible[set_index]:
-            line = self._lines[set_index][way]
-            if line is not None and line.tag == tag:
-                return AccessResult(
-                    hit=True,
-                    way=way,
-                    latency=self.config.latencies[way],
-                    set_index=set_index,
-                )
-        return AccessResult(hit=False, way=None, latency=None, set_index=set_index)
+    def probe(self, block: int, write: bool = False) -> int:
+        """Access block address ``block``: the hit way, or ``-1``.
 
-    def access(self, address: int, write: bool = False) -> AccessResult:
-        """Look up ``address``; on a hit update LRU (and dirty for writes).
-
-        Misses do *not* allocate — call :meth:`fill` when the refill
-        arrives, which is how the hierarchy models non-blocking misses.
+        A hit counts in the statistics, updates the replacement state and
+        marks the line dirty on a write. A miss is counted and does *not*
+        allocate — call :meth:`install` when the refill arrives, which is
+        how the hierarchy models non-blocking misses.
         """
-        result = self.lookup(address)
-        set_index = result.set_index
-        if result.hit:
-            assert result.way is not None
+        set_index = block & self._set_mask
+        tags = self._tags[set_index]
+        tag = block >> self._set_bits
+        if tag in tags:
+            way = tags.index(tag)
             self.hits += 1
-            self.way_hits[result.way] += 1
-            self._policies[set_index].touch(result.way)
+            self.way_hits[way] += 1
+            self._policies[set_index].touch(way)
             if write:
-                line = self._lines[set_index][result.way]
-                assert line is not None
-                line.dirty = True
-        else:
-            self.misses += 1
-        return result
+                self._dirty[set_index][way] = True
+            return way
+        self.misses += 1
+        return -1
 
-    def fill(self, address: int, dirty: bool = False) -> AccessResult:
-        """Install the block of ``address``, evicting if necessary."""
-        probe = self.lookup(address)
-        if probe.hit:
-            # Another outstanding miss already refilled this block.
-            assert probe.way is not None
-            self._policies[probe.set_index].touch(probe.way)
+    def install(self, block: int, dirty: bool = False) -> Tuple[int, int, bool]:
+        """Fill block address ``block``, evicting if necessary.
+
+        Returns ``(way, evicted_block, evicted_dirty)``; ``evicted_block``
+        is ``-1`` when nothing was evicted — a cold fill, or a block that
+        another outstanding miss already refilled (then it is only
+        touched, and dirtied if ``dirty``). Not counted as an access.
+        """
+        set_index = block & self._set_mask
+        tags = self._tags[set_index]
+        dirty_bits = self._dirty[set_index]
+        policy = self._policies[set_index]
+        tag = block >> self._set_bits
+        if tag in tags:
+            way = tags.index(tag)
+            policy.touch(way)
             if dirty:
-                line = self._lines[probe.set_index][probe.way]
-                assert line is not None
-                line.dirty = True
-            return probe
-        set_index = probe.set_index
-        tag = self.geometry.tag(address)
+                dirty_bits[way] = True
+            return way, -1, False
         eligible = self._eligible[set_index]
-        empty = [w for w in eligible if self._lines[set_index][w] is None]
-        evicted_block: Optional[int] = None
-        evicted_dirty = False
+        # A set with no -1 tag at all is full: skip the scan.
+        empty = [w for w in eligible if tags[w] < 0] if -1 in tags else None
         if empty:
             # Spread cold fills across the empty ways (hash by block
             # address): always picking the lowest index would park the
             # long-lived hot blocks in the low ways and starve the high
             # ways of hits, which would bias every per-way-latency
             # experiment.
-            way = empty[self.geometry.block_address(address) % len(empty)]
+            way = empty[block % len(empty)]
+            evicted_block = -1
+            evicted_dirty = False
         else:
-            way = self._policies[set_index].victim(eligible)
-            victim = self._lines[set_index][way]
-            assert victim is not None
-            set_bits = self.geometry.num_sets.bit_length() - 1
-            evicted_block = (victim.tag << set_bits) | set_index
-            evicted_dirty = victim.dirty
+            way = policy.victim(eligible)
+            evicted_block = (tags[way] << self._set_bits) | set_index
+            evicted_dirty = dirty_bits[way]
             self.evictions += 1
-        self._lines[set_index][way] = _Line(tag=tag, dirty=dirty)
-        self._policies[set_index].touch(way)
-        return AccessResult(
-            hit=False,
-            way=way,
-            latency=self.config.latencies[way],
-            set_index=set_index,
-            evicted_block=evicted_block,
-            evicted_dirty=evicted_dirty,
-        )
+        tags[way] = tag
+        dirty_bits[way] = dirty
+        policy.touch(way)
+        return way, evicted_block, evicted_dirty
 
     # ------------------------------------------------------------------
-    def run_compiled(self, trace) -> Tuple[int, int, int]:
-        """Replay a compiled trace's memory ops through this cache.
+    def lookup(self, address: int) -> AccessResult:
+        """Probe ``address`` without modifying any state (no LRU update)."""
+        block = address >> self.offset_bits
+        set_index = block & self._set_mask
+        tags = self._tags[set_index]
+        tag = block >> self._set_bits
+        if tag not in tags:
+            return AccessResult(False, None, None, set_index)
+        way = tags.index(tag)
+        return AccessResult(True, way, self.config.latencies[way], set_index)
 
-        Semantically identical to the per-access reference loop::
+    def access(self, address: int, write: bool = False) -> AccessResult:
+        """:meth:`probe` by byte address."""
+        result = self.lookup(address)
+        self.probe(address >> self.offset_bits, write)
+        return result
 
-            for instr in trace.instructions():
-                if instr.address is None:
-                    continue
-                write = instr.op is OpClass.STORE
-                result = cache.access(instr.address, write=write)
-                if not result.hit:
-                    cache.fill(instr.address, dirty=write)
-
-        but batched: the (set index, tag, write) columns come pre-split
-        from :meth:`CompiledTrace.memory_ops`, attribute lookups are
-        hoisted into locals, the common hit path is short-circuited, and
-        no per-access :class:`AccessResult` objects are allocated —
-        ``fill``'s re-probe is skipped because nothing can intervene
-        between the missed lookup and the refill here. Statistics
-        (hits/misses/evictions/way_hits) accumulate exactly as in the
-        reference; the deltas are returned as ``(hits, misses,
-        evictions)``.
-
-        ``trace`` is any object with a
-        ``memory_ops(geometry) -> (sets, tags, writes, count)`` method —
-        in practice :class:`repro.workloads.compiled.CompiledTrace`.
-        """
-        set_indices, tags, writes, count = trace.memory_ops(self.geometry)
-        lines = self._lines
-        policies = self._policies
-        eligible = self._eligible
-        way_hits = self.way_hits
-        make_line = _Line
-        set_bits = self.geometry.num_sets.bit_length() - 1
-        hits = 0
-        misses = 0
-        evictions = 0
-        for i in range(count):
-            set_index = set_indices[i]
-            tag = tags[i]
-            set_lines = lines[set_index]
-            elig = eligible[set_index]
-            hit_way = -1
-            for way in elig:
-                line = set_lines[way]
-                if line is not None and line.tag == tag:
-                    hit_way = way
-                    break
-            if hit_way >= 0:
-                hits += 1
-                way_hits[hit_way] += 1
-                policies[set_index].touch(hit_way)
-                if writes[i]:
-                    set_lines[hit_way].dirty = True
-                continue
-            misses += 1
-            empty = [w for w in elig if set_lines[w] is None]
-            if empty:
-                # Same cold-fill spread as fill(): hash by block address,
-                # which is exactly (tag << set_bits) | set_index.
-                way = empty[((tag << set_bits) | set_index) % len(empty)]
-            else:
-                way = policies[set_index].victim(elig)
-                evictions += 1
-            set_lines[way] = make_line(tag, bool(writes[i]))
-            policies[set_index].touch(way)
-        self.hits += hits
-        self.misses += misses
-        self.evictions += evictions
-        return hits, misses, evictions
+    def fill(self, address: int, dirty: bool = False) -> AccessResult:
+        """:meth:`install` by byte address."""
+        resident = self.lookup(address)
+        way, evicted_block, evicted_dirty = self.install(
+            address >> self.offset_bits, dirty
+        )
+        return AccessResult(
+            hit=resident.hit,
+            way=way,
+            latency=self.config.latencies[way],
+            set_index=resident.set_index,
+            evicted_block=None if evicted_block < 0 else evicted_block,
+            evicted_dirty=evicted_dirty,
+        )
 
     # ------------------------------------------------------------------
     @property

@@ -9,9 +9,11 @@ speculatively and must be replayed on a miss.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
+from repro.core.errors import ConfigurationError
 from repro.core.validation import require_positive
+from repro.uarch.isa import FU_KINDS
 from repro.yieldmodel.constraints import BASE_ACCESS_CYCLES
 
 __all__ = ["CoreConfig", "PAPER_CORE"]
@@ -73,6 +75,12 @@ class CoreConfig:
             raise ValueError("lbb_slack must be >= 0")
         for kind, count in self.fu_pools.items():
             require_positive(count, f"fu_pools[{kind}]")
+        missing = [kind for kind in FU_KINDS if kind not in self.fu_pools]
+        if missing:
+            raise ConfigurationError(
+                f"fu_pools has no entry for functional-unit kind(s) "
+                f"{', '.join(missing)}; every kind needs a pool"
+            )
 
     def replace(self, **changes) -> "CoreConfig":
         """Return a copy with the given fields replaced."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 from typing import Dict
 
-__all__ = ["OpClass", "FU_LATENCIES", "FU_KIND", "MEMORY_OPS"]
+__all__ = ["OpClass", "FU_LATENCIES", "FU_KIND", "FU_KINDS", "MEMORY_OPS"]
 
 
 class OpClass(enum.Enum):
@@ -49,6 +49,10 @@ FU_KIND: Dict[OpClass, str] = {
     OpClass.STORE: "mem",
     OpClass.BRANCH: "ialu",
 }
+
+#: Every functional-unit kind, in a fixed order (the pipeline indexes its
+#: pools by position in this tuple).
+FU_KINDS = tuple(dict.fromkeys(FU_KIND.values()))
 
 #: Classes that touch the data memory hierarchy.
 MEMORY_OPS = frozenset({OpClass.LOAD, OpClass.STORE})

@@ -27,18 +27,32 @@ The paper's two key mechanisms are modelled faithfully:
 
 Mispredicted branches stall fetch from the moment they are fetched until
 they resolve at execute; the front-end depth then refills naturally.
+
+Implementation
+--------------
+
+:meth:`PipelineEngine.run` is one loop over the columns of a
+:class:`~repro.workloads.compiled.CompiledTrace` (any other trace is
+lowered to one up front). Each simulated cycle runs the stages inline, in
+reverse order — event processing, commit, issue, dispatch, fetch — and
+then jumps to the next cycle at which anything can happen. Op codes and
+functional-unit kinds are ints, the FU pools an int-indexed tuple, and
+the caches are driven through their int-returning
+``probe``/``install`` primitive, so the steady state allocates one
+object per instruction. The stage-per-method form of the same model is
+kept under ``tests/oracles/`` as the differential oracle.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Deque, Dict, Iterable, Iterator, List, Optional
+from typing import Iterable, List, Optional
 
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.core.errors import SimulationError
 from repro.uarch.config import CoreConfig
-from repro.uarch.isa import FU_KIND, FU_LATENCIES, OpClass
+from repro.uarch.isa import FU_KIND, FU_KINDS, FU_LATENCIES, OpClass
 from repro.uarch.lbb import LoadBypassBuffers
 from repro.uarch.trace import NUM_REGISTERS, TraceInstruction
 
@@ -47,9 +61,24 @@ __all__ = ["PipelineEngine"]
 #: Safety valve: cycles without any commit before declaring deadlock.
 _DEADLOCK_LIMIT = 200_000
 
+#: Later than any reachable cycle: "no next event" for the cycle jump.
+_NEVER = 1 << 62
+
+#: Per op code (the enum definition order, matching
+#: ``repro.workloads.compiled.OP_CODES``): FU pool index and latency.
+_FU_INDEX = tuple(FU_KINDS.index(FU_KIND[op]) for op in OpClass)
+_LATENCY = tuple(FU_LATENCIES[op] for op in OpClass)
+_LOAD = tuple(OpClass).index(OpClass.LOAD)
+_STORE = tuple(OpClass).index(OpClass.STORE)
+_MEM = FU_KINDS.index(FU_KIND[OpClass.LOAD])
+
 
 class _Inst:
-    """Mutable per-instruction pipeline state."""
+    """Mutable per-instruction pipeline state.
+
+    ``dest`` is ``-1`` for no destination and ``address`` ``-1`` for
+    non-memory ops, as in the compiled columns.
+    """
 
     __slots__ = (
         "seq",
@@ -57,7 +86,6 @@ class _Inst:
         "dest",
         "srcs",
         "address",
-        "pc",
         "mispredicted",
         "fetch_cycle",
         "producers",
@@ -68,41 +96,33 @@ class _Inst:
         "done",
         "wake_time",
         "completed",
-        "replays",
     )
 
     def __init__(
         self,
         seq: int,
-        op: OpClass,
-        dest: Optional[int],
+        op: int,
+        dest: int,
         srcs: tuple,
-        address: Optional[int],
-        pc: int,
-        mispredicted: bool,
+        address: int,
+        mispredicted: int,
+        fetch_cycle: int,
     ) -> None:
         self.seq = seq
         self.op = op
         self.dest = dest
         self.srcs = srcs
         self.address = address
-        self.pc = pc
         self.mispredicted = mispredicted
-        self.fetch_cycle = 0
-        self.producers: List["_Inst"] = []
-        self.waiters: List["_Inst"] = []
+        self.fetch_cycle = fetch_cycle
+        self.producers: tuple = ()
+        self.waiters: list = []
         self.remaining = 0
         self.ready_time = 0
         self.issued = False
         self.done = -1
         self.wake_time = -1
         self.completed = False
-        self.replays = 0
-
-
-#: Op-code -> OpClass decode table for packed traces; the order is the
-#: enum definition order, matching ``repro.workloads.compiled.OP_CODES``.
-_OP_TABLE = tuple(OpClass)
 
 
 class PipelineEngine:
@@ -115,11 +135,11 @@ class PipelineEngine:
     hierarchy:
         The memory hierarchy (carries the yield-aware L1D configuration).
     trace:
-        Iterable of :class:`TraceInstruction` (consumed lazily), or a
-        :class:`repro.workloads.compiled.CompiledTrace` — the packed
-        fast path reads instruction fields straight out of the compiled
-        buffers, skipping per-instruction object construction and
-        re-validation (the trace was validated when compiled).
+        A :class:`repro.workloads.compiled.CompiledTrace`, or any
+        iterable of :class:`TraceInstruction`, which is packed into one
+        here (consuming it).
+    warmup_instructions:
+        Instructions committed before the measurement window opens.
     """
 
     def __init__(
@@ -129,50 +149,23 @@ class PipelineEngine:
         trace: Iterable[TraceInstruction],
         warmup_instructions: int = 0,
     ) -> None:
+        # Detected by attribute and imported late: importing the compiled
+        # module at the top would be circular (workloads.generator
+        # imports repro.uarch.isa while repro.uarch's own __init__ runs).
+        if not getattr(trace, "is_compiled_trace", False):
+            from repro.workloads.compiled import CompiledTrace
+
+            trace = CompiledTrace.from_instructions(trace)
         self.config = config
         self.hierarchy = hierarchy
-        # Detected by attribute, not isinstance: importing the compiled
-        # module here would be circular (workloads.generator imports
-        # repro.uarch.isa while repro.uarch's own __init__ runs).
-        if getattr(trace, "is_compiled_trace", False):
-            self._compiled = trace
-            self._compiled_pos = 0
-            self._trace: Optional[Iterator[TraceInstruction]] = None
-        else:
-            self._compiled = None
-            self._compiled_pos = 0
-            self._trace = iter(trace)
+        self.trace = trace
         self.lbb = LoadBypassBuffers(slack=config.lbb_slack)
         self.warmup_instructions = warmup_instructions
         self.warmup_cycle = 0
-        self._warm = warmup_instructions == 0
-
         self.cycle = 0
-        self._fetch_seq = 0
-        self._trace_exhausted = False
-        self._fetch_blocked_on: Optional[_Inst] = None
-        self._fetch_stall_until = 0
-        self._last_fetch_block: Optional[int] = None
 
-        self._frontend: Deque[_Inst] = deque()  # fetched, awaiting dispatch
-        self._rob: Deque[_Inst] = deque()
-        self._iq_used = 0
-        self._last_writer: List[Optional[_Inst]] = [None] * NUM_REGISTERS
-
-        self._ready: List = []  # heap of (time, seq, inst)
-        self._events: List = []  # heap of (time, kind, seq, inst)
-        #: Latest revised wake-up of any miss-discovered load. While
-        #: ``cycle >= _revision_horizon`` — every instruction window with
-        #: no pending slow load — the issue stage can skip the
-        #: producer-revision re-check entirely: an unrevised producer's
-        #: wake time is always folded into the consumer's ready time
-        #: before it enters the ready heap.
-        self._revision_horizon = 0
-        self._fu_reserved: Dict[int, Dict[str, int]] = {}
-        self._commit_count = 0
-        self._last_commit_cycle = 0
-
-        # statistics
+        # statistics, set by run(); all but ``committed`` cover only the
+        # measurement window after warm-up
         self.committed = 0
         self.issued = 0
         self.replay_count = 0
@@ -181,350 +174,404 @@ class PipelineEngine:
         self.store_count = 0
         self.slow_way_hits = 0
 
-    # ------------------------------------------------------------------
-    # helpers
-    # ------------------------------------------------------------------
-    def _push_ready(self, inst: _Inst, time: int) -> None:
-        inst.ready_time = max(inst.ready_time, time)
-        heapq.heappush(self._ready, (inst.ready_time, inst.seq, inst))
+    def _reset_cache_statistics(self) -> None:
+        """Warm-up over: zero the buffer and cache counters.
 
-    def _wake_consumers(self, inst: _Inst, wake_time: int) -> None:
-        """Producer ``inst`` issued (or revised): wake waiting consumers."""
-        inst.wake_time = wake_time
-        for consumer in inst.waiters:
-            if consumer.issued:
-                continue
-            consumer.remaining -= 1
-            consumer.ready_time = max(consumer.ready_time, wake_time)
-            if consumer.remaining <= 0:
-                self._push_ready(consumer, consumer.ready_time)
-        inst.waiters = []
-
-    def _end_warmup(self) -> None:
-        """Reset measurement counters once the warmup window commits.
-
-        Cache *contents* are kept (that is the point of warming up); only
-        the statistics are zeroed, and the CPI window starts here.
+        Cache *contents* are kept (that is the point of warming up).
         """
-        self._warm = True
-        self.warmup_cycle = self.cycle
-        self.replay_count = 0
-        self.branch_mispredicts = 0
-        self.load_count = 0
-        self.store_count = 0
-        self.slow_way_hits = 0
-        self.issued = 0
         self.lbb.total_stalls = 0
         self.lbb.overflows = 0
-        self.hierarchy.l1d.reset_statistics()
-        self.hierarchy.l1i.reset_statistics()
-        self.hierarchy.l2.reset_statistics()
-        self.hierarchy.l2_accesses = 0
-        self.hierarchy.memory_accesses = 0
-
-    def _revise_load_wakeup(self, load: _Inst) -> None:
-        """Miss discovered at the load's execute stage: re-wake consumers.
-
-        Consumers that issued inside the shadow replay on their own; the
-        rest are re-timed for the refill.
-        """
-        new_wake = max(load.done - self.config.sched_to_exec_stages, self.cycle + 1)
-        load.wake_time = new_wake
-        if new_wake > self._revision_horizon:
-            self._revision_horizon = new_wake
-
-    # ------------------------------------------------------------------
-    # pipeline stages (called in reverse order each cycle)
-    # ------------------------------------------------------------------
-    def _do_commit(self) -> None:
-        count = 0
-        while (
-            self._rob
-            and count < self.config.commit_width
-            and self._rob[0].completed
-            and self._rob[0].done <= self.cycle
-        ):
-            self._rob.popleft()
-            self.committed += 1
-            self._last_commit_cycle = self.cycle
-            count += 1
-            if not self._warm and self.committed >= self.warmup_instructions:
-                self._end_warmup()
-
-    def _process_events(self) -> None:
-        while self._events and self._events[0][0] <= self.cycle:
-            _, kind, _, inst = heapq.heappop(self._events)
-            if kind == 0:  # completion
-                inst.completed = True
-            else:  # miss discovery: revise consumer wake-up
-                self._revise_load_wakeup(inst)
-
-    def _issue_load(self, inst: _Inst, exec_start: int) -> int:
-        """Access the hierarchy; returns the data-available cycle."""
-        assert inst.address is not None
-        access = self.hierarchy.data_access(inst.address, write=False)
-        self.load_count += 1
-        done = exec_start + access.latency
-        predicted = self.config.predicted_load_latency
-        if access.l1_hit and access.latency > predicted:
-            # A 5-cycle way occupies its cache port one cycle longer,
-            # blocking one memory issue slot next cycle.
-            self.slow_way_hits += 1
-            reserved = self._fu_reserved.setdefault(self.cycle + 1, {})
-            reserved["mem"] = reserved.get("mem", 0) + 1
-        if access.latency > predicted + self.config.lbb_slack:
-            # Effectively a miss for the scheduler: consumers issued in
-            # the shadow will replay; the rest are re-woken when the miss
-            # is discovered at our execute stage.
-            heapq.heappush(self._events, (exec_start, 1, inst.seq, inst))
-        return done
-
-    def _do_issue(self) -> None:
-        # Load-bypass-buffer occupancy blocks the functional-unit input it
-        # sits in front of, so reservations made by earlier stalls count
-        # against this cycle's pool.
-        cycle = self.cycle
-        config = self.config
-        ready = self._ready
-        fu_kind = FU_KIND
-        fu_pools = config.fu_pools
-        issue_width = config.issue_width
-        sched_stages = config.sched_to_exec_stages
-        heappop = heapq.heappop
-        # No pending slow load means no producer wake-up can have been
-        # revised past this cycle — skip the re-check per pop.
-        check_revised = self._revision_horizon > cycle
-        fu_used: Dict[str, int] = self._fu_reserved.pop(cycle, {})
-        issued = 0
-        deferred: List[_Inst] = []
-        while ready and issued < issue_width:
-            time, _, inst = ready[0]
-            if time > cycle:
-                break
-            heappop(ready)
-            if inst.issued or time < inst.ready_time:
-                continue  # stale heap entry
-            # A producer's wake-up may have been revised after this entry
-            # was queued (miss discovery): the scheduler was informed, so
-            # re-time the consumer without spending an issue slot.
-            if check_revised:
-                revised = max(
-                    (p.wake_time for p in inst.producers), default=0
-                )
-                if revised > cycle:
-                    self._push_ready(inst, revised)
-                    continue
-            kind = fu_kind[inst.op]
-            if fu_used.get(kind, 0) >= fu_pools[kind]:
-                deferred.append(inst)
-                continue
-
-            # Will the data actually be there when we reach execute?
-            exec_start = cycle + sched_stages
-            data_ready = 0
-            for producer in inst.producers:
-                if not producer.issued:
-                    raise SimulationError(
-                        "consumer scheduled before its producer issued"
-                    )
-                data_ready = max(data_ready, producer.done)
-            shortfall = data_ready - exec_start
-
-            fu_used[kind] = fu_used.get(kind, 0) + 1
-            issued += 1
-            self.issued += 1
-
-            if shortfall > 0:
-                if shortfall > config.lbb_slack or not self.lbb.try_hold(
-                    exec_start, shortfall
-                ):
-                    # Speculatively issued under a miss (or no buffer
-                    # space): squash and replay when the data arrives.
-                    self.replay_count += 1
-                    inst.replays += 1
-                    retry = max(data_ready - sched_stages, cycle + 1)
-                    self._push_ready(inst, retry)
-                    continue
-                # Absorbed by a load-bypass buffer: the buffered operand
-                # occupies this FU's input, blocking one issue of the same
-                # kind next cycle.
-                exec_start += shortfall
-                reserved = self._fu_reserved.setdefault(cycle + 1, {})
-                reserved[kind] = reserved.get(kind, 0) + 1
-
-            inst.issued = True
-            self._iq_used -= 1
-            # If this instruction itself slipped into a bypass buffer, the
-            # scheduler knows and delays its dependents by the same slip.
-            slip = exec_start - (cycle + sched_stages)
-            if inst.op is OpClass.LOAD:
-                inst.done = self._issue_load(inst, exec_start)
-                wake = cycle + config.predicted_load_latency + slip
-            elif inst.op is OpClass.STORE:
-                assert inst.address is not None
-                self.hierarchy.data_access(inst.address, write=True)
-                self.store_count += 1
-                inst.done = exec_start + FU_LATENCIES[inst.op]
-                wake = inst.done
-            else:
-                latency = FU_LATENCIES[inst.op]
-                inst.done = exec_start + latency
-                wake = inst.done - sched_stages
-            heapq.heappush(self._events, (inst.done, 0, inst.seq, inst))
-            self._wake_consumers(inst, wake)
-            if inst.mispredicted:
-                self.branch_mispredicts += 1
-                self._fetch_stall_until = max(
-                    self._fetch_stall_until, inst.done + 1
-                )
-                if self._fetch_blocked_on is inst:
-                    self._fetch_blocked_on = None
-        for inst in deferred:  # structural hazard: retry next cycle
-            self._push_ready(inst, cycle + 1)
-
-    def _do_dispatch(self) -> None:
-        count = 0
-        while (
-            self._frontend
-            and count < self.config.fetch_width
-            and len(self._rob) < self.config.rob_size
-            and self._iq_used < self.config.iq_size
-        ):
-            inst = self._frontend[0]
-            if inst.fetch_cycle + self.config.frontend_stages > self.cycle:
-                break
-            self._frontend.popleft()
-            self._rob.append(inst)
-            self._iq_used += 1
-            count += 1
-
-            inst.ready_time = self.cycle + 1
-            for src in inst.srcs:
-                producer = self._last_writer[src]
-                if producer is None or producer.completed:
-                    continue
-                inst.producers.append(producer)
-                if producer.issued:
-                    inst.ready_time = max(inst.ready_time, producer.wake_time)
-                else:
-                    inst.remaining += 1
-                    producer.waiters.append(inst)
-            if inst.dest is not None:
-                self._last_writer[inst.dest] = inst
-            if inst.remaining == 0:
-                self._push_ready(inst, inst.ready_time)
-
-    def _do_fetch(self) -> None:
-        if self._fetch_blocked_on is not None:
-            return
-        if self.cycle < self._fetch_stall_until:
-            return
-        if self._trace_exhausted:
-            return
-        if len(self._frontend) >= 3 * self.config.fetch_width:
-            return
-        compiled = self._compiled
-        fetched = 0
-        while fetched < self.config.fetch_width:
-            if compiled is not None:
-                # Packed fast path: read fields straight from the
-                # compiled buffers (validated once, at compile time).
-                pos = self._compiled_pos
-                if pos >= compiled.length:
-                    self._trace_exhausted = True
-                    break
-                self._compiled_pos = pos + 1
-                dest = compiled.dests[pos]
-                s0 = compiled.src0[pos]
-                s1 = compiled.src1[pos]
-                address = compiled.addresses[pos]
-                inst = _Inst(
-                    self._fetch_seq,
-                    _OP_TABLE[compiled.ops[pos]],
-                    None if dest < 0 else dest,
-                    () if s0 < 0 else ((s0,) if s1 < 0 else (s0, s1)),
-                    None if address < 0 else address,
-                    compiled.pcs[pos],
-                    bool(compiled.mispredicts[pos]),
-                )
-            else:
-                try:
-                    raw = next(self._trace)
-                except StopIteration:
-                    self._trace_exhausted = True
-                    break
-                inst = _Inst(
-                    self._fetch_seq,
-                    raw.op,
-                    raw.dest,
-                    raw.srcs,
-                    raw.address,
-                    raw.pc,
-                    raw.mispredicted,
-                )
-            self._fetch_seq += 1
-            fetched += 1
-
-            # Instruction cache: pay the miss latency when entering a new
-            # block; the 2-cycle hit latency is part of the front end.
-            block = self.hierarchy.l1i.geometry.block_address(inst.pc)
-            if block != self._last_fetch_block:
-                self._last_fetch_block = block
-                latency = self.hierarchy.instruction_fetch(inst.pc)
-                extra = latency - self.hierarchy.config.l1i_latency
-                if extra > 0:
-                    self._fetch_stall_until = max(
-                        self._fetch_stall_until, self.cycle + extra
-                    )
-            self._frontend.append(inst)
-            inst.fetch_cycle = self.cycle
-            if inst.mispredicted:
-                self._fetch_blocked_on = inst
-                break
-            if self.cycle < self._fetch_stall_until:
-                break
-
-    # ------------------------------------------------------------------
-    def _next_event_time(self) -> Optional[int]:
-        """Earliest future cycle at which anything can happen."""
-        candidates: List[int] = []
-        if self._events:
-            candidates.append(self._events[0][0])
-        if self._ready:
-            candidates.append(self._ready[0][0])
-        if self._frontend:
-            candidates.append(
-                self._frontend[0].fetch_cycle + self.config.frontend_stages
-            )
-        if (
-            not self._trace_exhausted
-            and self._fetch_blocked_on is None
-            and len(self._frontend) < 3 * self.config.fetch_width
-        ):
-            candidates.append(max(self._fetch_stall_until, self.cycle + 1))
-        future = [c for c in candidates if c > self.cycle]
-        return min(future) if future else None
+        hierarchy = self.hierarchy
+        hierarchy.l1d.reset_statistics()
+        hierarchy.l1i.reset_statistics()
+        hierarchy.l2.reset_statistics()
+        hierarchy.l2_accesses = 0
+        hierarchy.memory_accesses = 0
 
     def run(self) -> None:
         """Simulate until every fetched instruction has committed."""
+        config = self.config
+        hierarchy = self.hierarchy
+        trace = self.trace
+        length = trace.length
+        ops = trace.ops
+        dests = trace.dests
+        src0 = trace.src0
+        src1 = trace.src1
+        addresses = trace.addresses
+        pcs = trace.pcs
+        mispredicts = trace.mispredicts
+
+        fetch_width = config.fetch_width
+        frontend_cap = 3 * fetch_width
+        issue_width = config.issue_width
+        commit_width = config.commit_width
+        rob_size = config.rob_size
+        iq_size = config.iq_size
+        sched = config.sched_to_exec_stages
+        frontend_stages = config.frontend_stages
+        predicted = config.predicted_load_latency
+        slack = config.lbb_slack
+        pools = tuple(config.fu_pools[kind] for kind in FU_KINDS)
+        num_kinds = len(pools)
+        fu_index = _FU_INDEX
+        latency_of = _LATENCY
+        load_op = _LOAD
+        store_op = _STORE
+        mem_fu = _MEM
+
+        lbb = self.lbb
+        try_hold = lbb.try_hold
+        l1d = hierarchy.l1d
+        d_probe = l1d.probe
+        d_shift = l1d.offset_bits
+        hit_latency = hierarchy.l1d_hit_latencies
+        data_miss = hierarchy.data_miss
+        i_fetch = hierarchy.instruction_fetch
+        i_shift = hierarchy.l1i.offset_bits
+        l1i_latency = hierarchy.config.l1i_latency
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+        make_inst = _Inst
+
+        warmup = self.warmup_instructions
+        warm = warmup == 0
+        warmup_cycle = 0
+        cycle = 0
+        pos = 0  # next trace position to fetch (= its sequence number)
+        exhausted = False
+        blocked_on: Optional[_Inst] = None
+        stall_until = 0
+        last_fetch_block: Optional[int] = None
+        frontend: deque = deque()  # fetched, awaiting dispatch
+        rob: deque = deque()
+        iq_used = 0
+        last_writer: List[Optional[_Inst]] = [None] * NUM_REGISTERS
+        ready: list = []  # heap of (time, seq, inst)
+        events: list = []  # heap of (time, kind, seq, inst)
+        # Latest revised wake-up of any miss-discovered load. While
+        # ``cycle >= horizon`` — every instruction window with no pending
+        # slow load — issue skips the producer-revision re-check: an
+        # unrevised producer's wake time is always folded into the
+        # consumer's ready time before it enters the ready heap.
+        horizon = 0
+        # FU slots taken by bypass-buffer and slow-way occupancy. Issue
+        # only reserves for the next cycle, so one pending slot suffices;
+        # it lapses if the loop jumps past that cycle.
+        reserved_cycle = -1
+        reserved: list = []
+        last_commit_cycle = 0
+        committed = 0
+        issued_total = 0
+        replays = 0
+        mispredicted_branches = 0
+        loads = 0
+        stores = 0
+        slow_hits = 0
+
         while True:
-            self._process_events()
-            self._do_commit()
-            self._do_issue()
-            self._do_dispatch()
-            self._do_fetch()
-            if (
-                self._trace_exhausted
-                and not self._rob
-                and not self._frontend
+            # -- events: completions and miss discoveries ---------------
+            while events and events[0][0] <= cycle:
+                _, kind, _, inst = heappop(events)
+                if kind == 0:
+                    inst.completed = True
+                else:
+                    # Miss discovered at the load's execute stage: consumers
+                    # that issued inside the shadow replay on their own;
+                    # the rest are re-timed for the refill.
+                    wake = inst.done - sched
+                    if wake <= cycle:
+                        wake = cycle + 1
+                    inst.wake_time = wake
+                    if wake > horizon:
+                        horizon = wake
+
+            # -- commit -------------------------------------------------
+            count = 0
+            while rob and count < commit_width:
+                head = rob[0]
+                if not head.completed or head.done > cycle:
+                    break
+                rob.popleft()
+                committed += 1
+                last_commit_cycle = cycle
+                count += 1
+                if not warm and committed >= warmup:
+                    # The CPI window starts here.
+                    warm = True
+                    warmup_cycle = cycle
+                    issued_total = replays = mispredicted_branches = 0
+                    loads = stores = slow_hits = 0
+                    self._reset_cache_statistics()
+
+            # -- issue --------------------------------------------------
+            if ready and ready[0][0] <= cycle:
+                # Load-bypass-buffer occupancy blocks the functional-unit
+                # input it sits in front of, so reservations made by
+                # earlier stalls count against this cycle's pool.
+                fu_used = (
+                    reserved if reserved_cycle == cycle else [0] * num_kinds
+                )
+                next_reserved = None
+                check_revised = horizon > cycle
+                exec_base = cycle + sched
+                width_left = issue_width
+                deferred = None
+                while ready and width_left:
+                    entry = ready[0]
+                    time = entry[0]
+                    if time > cycle:
+                        break
+                    heappop(ready)
+                    inst = entry[2]
+                    if inst.issued or time < inst.ready_time:
+                        continue  # stale heap entry
+                    producers = inst.producers
+                    # A producer's wake-up may have been revised after this
+                    # entry was queued (miss discovery): the scheduler was
+                    # informed, so re-time the consumer without spending an
+                    # issue slot.
+                    if check_revised:
+                        revised = 0
+                        for producer in producers:
+                            if producer.wake_time > revised:
+                                revised = producer.wake_time
+                        if revised > cycle:
+                            if revised > inst.ready_time:
+                                inst.ready_time = revised
+                            heappush(ready, (inst.ready_time, inst.seq, inst))
+                            continue
+                    op = inst.op
+                    fu = fu_index[op]
+                    if fu_used[fu] >= pools[fu]:
+                        if deferred is None:
+                            deferred = [inst]
+                        else:
+                            deferred.append(inst)
+                        continue
+
+                    # Will the data actually be there when we reach execute?
+                    data_ready = 0
+                    for producer in producers:
+                        if not producer.issued:
+                            raise SimulationError(
+                                "consumer scheduled before its producer issued"
+                            )
+                        if producer.done > data_ready:
+                            data_ready = producer.done
+                    shortfall = data_ready - exec_base
+                    fu_used[fu] += 1
+                    width_left -= 1
+                    issued_total += 1
+
+                    if shortfall > 0:
+                        if shortfall > slack or not try_hold(
+                            exec_base, shortfall
+                        ):
+                            # Speculatively issued under a miss (or no
+                            # buffer space): squash and replay when the
+                            # data arrives.
+                            replays += 1
+                            retry = data_ready - sched
+                            if retry <= cycle:
+                                retry = cycle + 1
+                            if retry > inst.ready_time:
+                                inst.ready_time = retry
+                            heappush(ready, (inst.ready_time, inst.seq, inst))
+                            continue
+                        # Absorbed by a load-bypass buffer: the buffered
+                        # operand occupies this FU's input, blocking one
+                        # issue of the same kind next cycle. The scheduler
+                        # knows, and delays the dependents by the same slip.
+                        if next_reserved is None:
+                            next_reserved = [0] * num_kinds
+                        next_reserved[fu] += 1
+                        slip = shortfall
+                    else:
+                        slip = 0
+                    exec_start = exec_base + slip
+
+                    inst.issued = True
+                    iq_used -= 1
+                    if op == load_op:
+                        address = inst.address
+                        loads += 1
+                        way = d_probe(address >> d_shift, False)
+                        if way >= 0:
+                            latency = hit_latency[way]
+                            if latency > predicted:
+                                # A 5-cycle way occupies its cache port one
+                                # cycle longer, blocking one memory issue
+                                # slot next cycle.
+                                slow_hits += 1
+                                if next_reserved is None:
+                                    next_reserved = [0] * num_kinds
+                                next_reserved[mem_fu] += 1
+                        else:
+                            latency = data_miss(address, False)
+                        if latency > predicted + slack:
+                            # Effectively a miss for the scheduler:
+                            # consumers issued in the shadow will replay;
+                            # the rest are re-woken when the miss is
+                            # discovered at our execute stage.
+                            heappush(events, (exec_start, 1, inst.seq, inst))
+                        done = exec_start + latency
+                        wake = cycle + predicted + slip
+                    elif op == store_op:
+                        address = inst.address
+                        if d_probe(address >> d_shift, True) < 0:
+                            data_miss(address, True)
+                        stores += 1
+                        done = exec_start + latency_of[op]
+                        wake = done
+                    else:
+                        done = exec_start + latency_of[op]
+                        wake = done - sched
+                    inst.done = done
+                    heappush(events, (done, 0, inst.seq, inst))
+                    # Wake the consumers waiting on this producer.
+                    inst.wake_time = wake
+                    for consumer in inst.waiters:
+                        if consumer.issued:
+                            continue
+                        consumer.remaining -= 1
+                        if wake > consumer.ready_time:
+                            consumer.ready_time = wake
+                        if consumer.remaining <= 0:
+                            heappush(
+                                ready,
+                                (consumer.ready_time, consumer.seq, consumer),
+                            )
+                    inst.waiters = ()
+                    if inst.mispredicted:
+                        mispredicted_branches += 1
+                        if done >= stall_until:
+                            stall_until = done + 1
+                        if blocked_on is inst:
+                            blocked_on = None
+                if deferred is not None:  # structural hazard: retry next cycle
+                    for inst in deferred:
+                        if inst.ready_time <= cycle:
+                            inst.ready_time = cycle + 1
+                        heappush(ready, (inst.ready_time, inst.seq, inst))
+                if next_reserved is not None:
+                    reserved_cycle = cycle + 1
+                    reserved = next_reserved
+
+            # -- dispatch -----------------------------------------------
+            count = 0
+            while (
+                frontend
+                and count < fetch_width
+                and len(rob) < rob_size
+                and iq_used < iq_size
             ):
+                inst = frontend[0]
+                if inst.fetch_cycle + frontend_stages > cycle:
+                    break
+                frontend.popleft()
+                rob.append(inst)
+                iq_used += 1
+                count += 1
+
+                ready_time = cycle + 1
+                producers = None
+                for src in inst.srcs:
+                    producer = last_writer[src]
+                    if producer is None or producer.completed:
+                        continue
+                    if producers is None:
+                        producers = [producer]
+                    else:
+                        producers.append(producer)
+                    if producer.issued:
+                        if producer.wake_time > ready_time:
+                            ready_time = producer.wake_time
+                    else:
+                        inst.remaining += 1
+                        producer.waiters.append(inst)
+                if producers is not None:
+                    inst.producers = producers
+                inst.ready_time = ready_time
+                if inst.dest >= 0:
+                    last_writer[inst.dest] = inst
+                if inst.remaining == 0:
+                    heappush(ready, (ready_time, inst.seq, inst))
+
+            # -- fetch --------------------------------------------------
+            if (
+                blocked_on is None
+                and cycle >= stall_until
+                and not exhausted
+                and len(frontend) < frontend_cap
+            ):
+                for _ in range(fetch_width):
+                    if pos >= length:
+                        exhausted = True
+                        break
+                    s0 = src0[pos]
+                    s1 = src1[pos]
+                    inst = make_inst(
+                        pos,
+                        ops[pos],
+                        dests[pos],
+                        () if s0 < 0 else ((s0,) if s1 < 0 else (s0, s1)),
+                        addresses[pos],
+                        mispredicts[pos],
+                        cycle,
+                    )
+                    # Instruction cache: pay the miss latency when entering
+                    # a new block; the 2-cycle hit latency is part of the
+                    # front end.
+                    pc = pcs[pos]
+                    pos += 1
+                    if pc >> i_shift != last_fetch_block:
+                        last_fetch_block = pc >> i_shift
+                        extra = i_fetch(pc) - l1i_latency
+                        if extra > 0 and cycle + extra > stall_until:
+                            stall_until = cycle + extra
+                    frontend.append(inst)
+                    if inst.mispredicted:
+                        blocked_on = inst
+                        break
+                    if cycle < stall_until:
+                        break
+
+            if exhausted and not rob and not frontend:
                 break
-            if self.cycle - self._last_commit_cycle > _DEADLOCK_LIMIT:
+            if cycle - last_commit_cycle > _DEADLOCK_LIMIT:
                 raise SimulationError(
                     f"no commit for {_DEADLOCK_LIMIT} cycles "
-                    f"(cycle {self.cycle}, committed {self.committed})"
+                    f"(cycle {cycle}, committed {committed})"
                 )
-            nxt = self._next_event_time()
-            self.cycle = nxt if nxt is not None else self.cycle + 1
-            if self.cycle % 50_000 == 0:
-                self.lbb.release_before(self.cycle)
+
+            # -- jump to the earliest future cycle with anything to do --
+            if (
+                not exhausted
+                and blocked_on is None
+                and len(frontend) < frontend_cap
+            ):
+                nxt = stall_until if stall_until > cycle else cycle + 1
+            else:
+                nxt = _NEVER
+            if events and cycle < events[0][0] < nxt:
+                nxt = events[0][0]
+            if ready and cycle < ready[0][0] < nxt:
+                nxt = ready[0][0]
+            if frontend:
+                time = frontend[0].fetch_cycle + frontend_stages
+                if cycle < time < nxt:
+                    nxt = time
+            cycle = cycle + 1 if nxt == _NEVER else nxt
+            if cycle % 50_000 == 0:
+                lbb.release_before(cycle)
+
+        self.cycle = cycle
+        self.warmup_cycle = warmup_cycle
+        self.committed = committed
+        self.issued = issued_total
+        self.replay_count = replays
+        self.branch_mispredicts = mispredicted_branches
+        self.load_count = loads
+        self.store_count = stores
+        self.slow_way_hits = slow_hits

@@ -1,12 +1,16 @@
-"""Differential tests: compiled-trace fast paths vs the per-access reference.
+"""Differential tests: production simulator and caches vs the oracle.
 
-The compiled kernels (`CompiledTrace` + `SetAssociativeCache.run_compiled`
-+ the pipeline's packed fetch path) exist purely for speed — they must be
-*bit-identical* to the per-access APIs they bypass. These tests sweep 150
+The production cache primitive (`SetAssociativeCache.probe`/`install`)
+and the single-loop pipeline over `CompiledTrace` columns exist purely
+for speed — they must be *bit-identical* to the per-access reference
+kept in `tests/oracles/pipeline_reference.py`. These tests sweep 150
 randomized (profile, geometry, way-configuration, policy) configurations
-through both paths and assert equality of every observable: cache
-hit/miss/eviction/per-way counters, resident line state, and — for the
-pipeline subset — the full :class:`SimResult` including cycle counts.
+through both caches and assert equality of every observable: per-access
+hit way, fill way and eviction, hit/miss/eviction/per-way counters and
+resident line state. The pipeline battery runs 130 seeded
+configurations through the production `Simulator` and the oracle's
+stage-method engine and asserts the full `SimResult`, cycle counts and
+hierarchy counters included.
 
 The way configurations cover every scheme overlay the yield experiments
 produce: healthy, VACA (5-cycle ways), YAPD (disabled ways), H-YAPD
@@ -19,12 +23,13 @@ import random
 
 import numpy as np
 import pytest
+from oracles.pipeline_reference import ReferenceCache, reference_simulate
 
 from repro.cache.geometry import CacheGeometry
 from repro.cache.replacement import FIFOPolicy, LRUPolicy, RandomPolicy
 from repro.cache.setassoc import SetAssociativeCache, WayConfig
 from repro.core.errors import ConfigurationError
-from repro.uarch import Simulator
+from repro.uarch import PAPER_CORE, Simulator
 from repro.uarch.isa import OpClass
 from repro.workloads import (
     SPEC2000_ALL,
@@ -111,24 +116,21 @@ def _make_cases(count: int):
 _CASES = _make_cases(150)
 
 
-def _reference_replay(cache: SetAssociativeCache, trace) -> None:
-    """The per-access reference: access(); fill() on miss."""
+def _memory_ops(trace):
     for instr in trace.instructions():
-        if instr.address is None:
-            continue
-        write = instr.op is OpClass.STORE
-        result = cache.access(instr.address, write=write)
-        if not result.hit:
-            cache.fill(instr.address, dirty=write)
+        if instr.address is not None:
+            yield instr.address, instr.op is OpClass.STORE
 
 
 def _cache_state(cache: SetAssociativeCache):
     lines = []
     for set_index in range(cache.geometry.num_sets):
+        tags = cache._tags[set_index]
         for way in range(cache.geometry.associativity):
-            line = cache._lines[set_index][way]
-            if line is not None:
-                lines.append((set_index, way, line.tag, line.dirty))
+            if tags[way] >= 0:
+                lines.append(
+                    (set_index, way, tags[way], cache._dirty[set_index][way])
+                )
     return (
         cache.hits,
         cache.misses,
@@ -140,19 +142,28 @@ def _cache_state(cache: SetAssociativeCache):
 
 @pytest.mark.parametrize("profile,geometry,config,policy,seed", _CASES)
 def test_run_compiled_matches_reference(profile, geometry, config, policy, seed):
+    """A compiled trace's memory ops through `probe`/`install` match the
+    oracle's `access`/`fill`, access by access."""
     trace = get_compiled_trace(get_profile(profile), seed, 600)
-    reference = SetAssociativeCache(
+    reference = ReferenceCache(
         geometry, config=config, policy_factory=_policy_factory(policy)
     )
-    _reference_replay(reference, trace)
-    fast = SetAssociativeCache(
+    cache = SetAssociativeCache(
         geometry, config=config, policy_factory=_policy_factory(policy)
     )
-    hits, misses, evictions = fast.run_compiled(trace)
-    assert (hits, misses, evictions) == (
-        reference.hits, reference.misses, reference.evictions,
-    )
-    assert _cache_state(fast) == _cache_state(reference)
+    shift = geometry.block_bytes.bit_length() - 1
+    for address, write in _memory_ops(trace):
+        expected = reference.access(address, write=write)
+        way = cache.probe(address >> shift, write)
+        assert way == (expected.way if expected.hit else -1)
+        if expected.hit:
+            continue
+        fill = reference.fill(address, dirty=write)
+        evicted = -1 if fill.evicted_block is None else fill.evicted_block
+        assert cache.install(address >> shift, write) == (
+            fill.way, evicted, fill.evicted_dirty,
+        )
+    assert _cache_state(cache) == reference.state()
 
 
 # ----------------------------------------------------------------------
@@ -188,9 +199,12 @@ def test_pipeline_compiled_matches_reference(profile, config, uniform, seed):
     prof = get_profile(profile)
     length, warmup = 700, 100
     compiled = get_compiled_trace(prof, seed, length)
-    reference = Simulator(
-        l1d_config=config, uniform_load_latency=uniform
-    ).run(TraceGenerator(prof, seed=seed).generate(length), warmup=warmup)
+    reference = reference_simulate(
+        TraceGenerator(prof, seed=seed).generate(length),
+        warmup=warmup,
+        l1d_config=config,
+        uniform_load_latency=uniform,
+    )
     fast = Simulator(
         l1d_config=config, uniform_load_latency=uniform
     ).run(compiled, warmup=warmup)
@@ -198,6 +212,82 @@ def test_pipeline_compiled_matches_reference(profile, config, uniform, seed):
     # replays, LBB stalls, slow-way hits, mispredicts, loads, stores and
     # the full hierarchy counter snapshot.
     assert fast == reference
+
+
+#: Narrower and reshaped cores: widths, window sizes, pools, depths.
+_CORE_SHAPES = (
+    {},
+    {"lbb_slack": 0},
+    {"fetch_width": 2, "issue_width": 2, "commit_width": 2},
+    {"fetch_width": 1, "issue_width": 1, "commit_width": 1},
+    {"issue_width": 3, "iq_size": 16, "rob_size": 32},
+    {"fu_pools": {"ialu": 1, "imult": 1, "falu": 1, "fmult": 1, "mem": 1}},
+    {"fu_pools": {"ialu": 2, "imult": 1, "falu": 1, "fmult": 1, "mem": 1},
+     "issue_width": 2},
+    {"sched_to_exec_stages": 3, "frontend_stages": 2},
+    {"lbb_slack": 2, "iq_size": 8, "rob_size": 16},
+)
+
+_INPUTS = ("compiled", "list", "iterator")
+
+
+def _make_oracle_cases(count: int):
+    rng = random.Random(2006)
+    cases = []
+    for index in range(count):
+        profile = rng.choice(_PROFILE_NAMES)
+        overlay = rng.choice(_OVERLAYS + ("hyapd",))
+        shape = rng.randrange(len(_CORE_SHAPES))
+        uniform = None
+        if overlay == "healthy" and rng.random() < 0.4:
+            uniform = rng.choice((5, 6))  # naive binning (Section 4.5)
+        warmup = rng.choice((0, 0, 50, 150))
+        length = rng.randrange(250, 600)
+        feed = rng.choice(_INPUTS)
+        seed = rng.randrange(1, 40)
+        config = _overlay_config(rng, 4, overlay)
+        cases.append(
+            pytest.param(
+                profile, config, uniform, shape, warmup, length, feed, seed,
+                id=f"oracle{index:03d}-{profile}-{overlay}-core{shape}-{feed}"
+                + (f"-uniform{uniform}" if uniform else "")
+                + f"-w{warmup}",
+            )
+        )
+    return cases
+
+
+@pytest.mark.parametrize(
+    "profile,config,uniform,shape,warmup,length,feed,seed",
+    _make_oracle_cases(100),
+)
+def test_pipeline_matches_oracle(
+    profile, config, uniform, shape, warmup, length, feed, seed
+):
+    """Production `Simulator` vs the oracle's stage-method engine across
+    scheme overlays, core shapes, warm-up lengths and input kinds."""
+    core = PAPER_CORE.replace(**_CORE_SHAPES[shape])
+    if uniform is not None:
+        # As the binning study runs it: the scheduler predicts the bin.
+        core = core.replace(predicted_load_latency=uniform)
+    compiled = compile_trace(get_profile(profile), seed, length)
+    expected = reference_simulate(
+        compiled.instructions(),
+        warmup=warmup,
+        core=core,
+        l1d_config=config,
+        uniform_load_latency=uniform,
+    )
+    if feed == "compiled":
+        trace = compiled
+    elif feed == "list":
+        trace = list(compiled.instructions())
+    else:
+        trace = compiled.instructions()
+    simulator = Simulator(
+        core=core, l1d_config=config, uniform_load_latency=uniform
+    )
+    assert simulator.run(trace, warmup=warmup) == expected
 
 
 # ----------------------------------------------------------------------

@@ -15,8 +15,8 @@ exactly — and event counters are asserted on full runs.
 import pytest
 
 from repro.cache.setassoc import WayConfig
-from repro.core.errors import SimulationError, TraceError
-from repro.uarch import PAPER_CORE, Simulator, TraceInstruction
+from repro.core.errors import ConfigurationError, SimulationError, TraceError
+from repro.uarch import PAPER_CORE, CoreConfig, Simulator, TraceInstruction
 from repro.uarch.isa import OpClass
 from repro.uarch.trace import count_classes, validate_trace
 
@@ -244,3 +244,42 @@ class TestAccounting:
         a = Simulator().run(iter(trace))
         b = Simulator().run(iter(trace))
         assert a == b
+
+
+class TestCoreConfig:
+    def test_missing_fu_kind_rejected_at_construction(self):
+        """A pool map without every FU kind used to die mid-simulation
+        with a bare KeyError at the first op of the missing kind."""
+        with pytest.raises(ConfigurationError, match="imult") as info:
+            CoreConfig(fu_pools={"ialu": 4, "mem": 2})
+        for kind in ("falu", "fmult"):
+            assert kind in str(info.value)
+        assert "ialu" not in str(info.value)
+
+    def test_full_pool_map_accepted(self):
+        pools = {"ialu": 1, "imult": 1, "falu": 1, "fmult": 1, "mem": 1}
+        result = run(
+            [TraceInstruction(op=OpClass.IMULT, dest=1)] * 10,
+            core=PAPER_CORE.replace(fu_pools=pools),
+        )
+        assert result.instructions == 10
+
+
+class TestKnownDefects:
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "the next-event jump drops ready-heap heads at or before the "
+            "current cycle, so an instruction left over when issue width "
+            "runs out waits for the next unrelated event (ROADMAP)"
+        ),
+    )
+    def test_issue_width_leftover_issues_next_cycle(self):
+        """On a 1-wide core the second of two independent ALU ops that
+        become ready together should issue one cycle after the first,
+        finishing one cycle later. (The leading op takes the cold I-cache
+        miss, so the pair behind it is fetched and dispatched together.)"""
+        core = PAPER_CORE.replace(issue_width=1)
+        one = run([ialu(dest=1), ialu(dest=2)], core=core)
+        two = run([ialu(dest=1), ialu(dest=2), ialu(dest=3)], core=core)
+        assert two.cycles - one.cycles == 1
